@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -165,6 +166,21 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     x = rng.normal(size=(3, 32)).astype(np.float32)
     np.testing.assert_array_equal(model.forward(x).logits.data,
                                   loaded.forward(x).logits.data)
+
+
+# SHA-256 of the TST1 files two tiny seeded models save. Any change to the
+# config field lists, their order, or the parameter enumeration moves these.
+TST1_SHA256 = {
+    "1d": "91a193a7d171a577ce4888745a6f65af66a33ac564d4f4bf52a1e8bb5c20056c",
+    "none": "8ba78a429965190563cf1e6bdd9229ce680a08e920ca9b775d1e36e33189afb8",
+}
+
+
+@pytest.mark.parametrize("pos", ["1d", "none"])
+def test_checkpoint_byte_layout_is_pinned(tmp_path, pos):
+    path = tmp_path / "model.tst"
+    save_checkpoint(tiny_model(seed=3, pos_encoding=pos), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TST1_SHA256[pos]
 
 
 def test_checkpoint_mismatched_config(tmp_path):
