@@ -12,7 +12,7 @@ import numpy as np
 from tst import data
 from tst.model import TSTConfig, TSTModel
 from tst.tensor import Tensor
-from tst.tokenizer import TokenizerConfig, TokenizerParams, tokenize
+from tst.tokenizer import TokenizerParams, tokenize
 from tst.transformer import multi_head
 
 rng = np.random.default_rng(0)
@@ -22,16 +22,17 @@ windows = data.generate_synthetic(data.default_synthetic_spec(), 1, seed=3, leng
 x, y = data.windows_to_arrays(windows[:4])
 print(f"4 windows of length 512, labels {y}")
 
-cfg = TokenizerConfig(length=512, ns=64, dim=32)
-params = TokenizerParams.init(cfg, rng)
+# one config describes the whole model; the tokenizer reads L, ns, dim and
+# pos_encoding from it
+model_cfg = TSTConfig(L=512, ns=64, dim=32, dim_mlp=64, d_k=16, heads=2, depth=2,
+                      n_class=10)
+params = TokenizerParams.init(model_cfg, rng)
 tokens = tokenize(Tensor(x), params)
 print(f"tokens sequence: {tokens.shape}  (batch, 64 subsequences + 1 class slot, dim)")
 print(f"slot 0 identical across inputs (class token is learned, not derived): "
       f"{np.allclose(tokens.data[0, 0] - params.pos_table.data[0], params.class_token.data[0])}")
 
 print("\n== attention maps ==")
-model_cfg = TSTConfig(L=512, ns=64, dim=32, dim_mlp=64, d_k=16, heads=2, depth=2,
-                      n_class=10)
 model = TSTModel(model_cfg, seed=0)
 block = model.stack.blocks[0]
 out, weights = multi_head(tokens, block, return_weights=True)

@@ -159,13 +159,16 @@ def cmd_study(args) -> int:
     out_dir = Path(args.out_dir)
     split = _load_split(args, cfg)
     seeds = [args.base_seed + i for i in range(args.trials)]
-    study = training.repeat_trials(split, cfg, args.trials, seeds=seeds, jobs=args.jobs)
+    study = training.repeat_trials(split, cfg, seeds, jobs=args.jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "study_report.csv").write_text("\n".join(study.lines()) + "\n")
     for trial in study.trials:
         (out_dir / f"trial_{trial.seed}.csv").write_text("\n".join(trial.lines()) + "\n")
     write_manifest(out_dir, "study", args, config=cfg, inputs=[Path(args.data)])
+    if not study.trials:
+        raise TrainingAbort(f"all {len(seeds)} trials aborted; the reasons are in "
+                            f"{out_dir / 'study_report.csv'}")
     print(f"trials={len(study.trials)} top={study.top_acc:.4f} min={study.min_acc:.4f} "
           f"avg={study.avg_acc:.4f} std={study.std:.4f} -> {out_dir}")
     return EXIT_OK

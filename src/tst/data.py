@@ -93,10 +93,8 @@ def split_train_test(windows, n_train: int, n_test: int, seed: int) -> DatasetSp
 # "label,s0,s1,...", optional comment/header lines starting with '#'.
 
 
-def load_csv(path, length: int | None = None, label_policy: str = "first",
+def load_csv(path, length: int | None = None,
              n_class: int | None = None) -> list[LabeledWindow]:
-    if label_policy not in ("first", "last"):
-        raise ConfigError(f"label_policy must be 'first' or 'last', got {label_policy!r}")
     windows: list[LabeledWindow] = []
     expected = length
     try:
@@ -108,9 +106,7 @@ def load_csv(path, length: int | None = None, label_policy: str = "first",
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
-            raw_label = cells[0] if label_policy == "first" else cells[-1]
-            values = cells[1:] if label_policy == "first" else cells[:-1]
+            raw_label, *values = line.split(",")
             try:
                 label = int(raw_label)
             except ValueError:
@@ -246,8 +242,8 @@ def standardize(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return (x - mu) / (sd + eps)
 
 
-def windows_to_arrays(windows, normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into (X, y); X standardized per window unless told not to."""
+def windows_to_arrays(windows) -> tuple[np.ndarray, np.ndarray]:
+    """Stack windows into (X, y), X standardized per window."""
     windows = list(windows)
     if not windows:
         return np.zeros((0, 0), dtype=np.float32), np.zeros(0, dtype=np.int64)
@@ -256,6 +252,4 @@ def windows_to_arrays(windows, normalize: bool = True) -> tuple[np.ndarray, np.n
         raise DataError(f"windows have mixed lengths {sorted(lengths)}")
     x = np.stack([w.samples for w in windows]).astype(np.float32)
     y = np.array([w.label for w in windows], dtype=np.int64)
-    if normalize:
-        x = standardize(x)
-    return x, y
+    return standardize(x), y

@@ -1,14 +1,14 @@
 """The full TST: tokenizer -> transformer stack -> linear classifier.
 
-``TSTConfig`` carries every architecture and training hyperparameter with
-the stock defaults (2048-sample windows cut into 256 subsequences of
-length 8, dim 128, 6 blocks, 6 heads, d_k 64, MLP width 256, dropout 0.1,
-learned 1-d position encoding, 10 classes, Adam at 3e-5 with a x0.8 step
-decay every 10 epochs, batch 128, 50 epochs).
+``TSTConfig``, the only config, carries every architecture and training
+hyperparameter with the stock defaults (2048-sample windows cut into 256
+subsequences of length 8, dim 128, 6 blocks, 6 heads, d_k 64, MLP width
+256, dropout 0.1, learned 1-d position encoding, 10 classes, Adam at 3e-5
+with a x0.8 step decay every 10 epochs, batch 128, 50 epochs). Blocks keep
+only their head count and read every other extent off their weights.
 
-The training loss is cross-entropy. The optimizer path computes it from
-logits through log-sum-exp; ``cross_entropy`` on probabilities is the
-direct textbook form and is kept for checking the two agree.
+The model outputs logits; the training loss is cross-entropy computed from
+them through log-sum-exp.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .tensor import Tensor
-from .tokenizer import POS_LEARNED_1D, POS_NONE, TokenizerConfig, TokenizerParams, tokenize
+from .tokenizer import POS_LEARNED_1D, POS_NONE, TokenizerParams, tokenize
 from .transformer import TransformerStack, stack_forward
 
 CHECKPOINT_MAGIC = b"TST1"
@@ -51,13 +51,10 @@ class TSTConfig:
         return self.L // self.ns
 
     def validate(self):
-        positive = ["L", "ns", "dim", "dim_mlp", "d_k", "heads", "depth",
-                    "n_class", "lr_step", "batch_size"]
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in _INT_FIELDS:
+            value, low = getattr(self, name), 0 if name == "epochs" else 1
+            if not low <= value < 2**32:   # stored as a u32 in checkpoints
+                raise ConfigError(f"{name} must be in [{low}, 2**32), got {value}")
         if self.L % self.ns != 0:
             raise ConfigError(f"L={self.L} is not divisible by ns={self.ns}")
         if not 0.0 <= self.p_drop < 1.0:
@@ -67,10 +64,6 @@ class TSTConfig:
         if self.lr <= 0 or self.lr_gamma <= 0:
             raise ConfigError("lr and lr_gamma must be positive")
         return self
-
-    def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(length=self.L, ns=self.ns, dim=self.dim,
-                               pos_encoding=self.pos_encoding)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -84,10 +77,14 @@ class TSTConfig:
         return cls(**d).validate()
 
 
+# the config fields by type, in declared order: the checkpoint's field layout
+_INT_FIELDS = tuple(f.name for f in fields(TSTConfig) if f.type == "int")
+_FLOAT_FIELDS = tuple(f.name for f in fields(TSTConfig) if f.type == "float")
+
+
 class ForwardResult(NamedTuple):
-    probs: Tensor          # (B, n_class), rows sum to 1
     logits: Tensor         # (B, n_class)
-    class_tokens: list     # per-block (B, dim) class-token slices
+    class_tokens: list     # per-block (B, dim) class tokens, detached
 
 
 class TSTModel:
@@ -103,11 +100,9 @@ class TSTModel:
         self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.tokenizer = TokenizerParams.init(config.tokenizer_config(), rng, dtype)
-        self.stack = TransformerStack.init(
-            config.depth, config.dim, config.dim_mlp, config.heads,
-            config.d_k, config.d_k, rng, dtype,   # d_v = d_k
-        )
+        self.tokenizer = TokenizerParams.init(config, rng, dtype)
+        self.stack = TransformerStack.init(config.depth, config.dim, config.dim_mlp,
+                                           config.heads, config.d_k, rng, dtype)
         # zero head: the untrained classifier is exactly uniform, so the
         # starting loss is log(n_class) and early training is seed-stable
         self.w_head = Tensor(np.zeros((config.dim, config.n_class), dtype=dtype),
@@ -115,19 +110,12 @@ class TSTModel:
         self.b_head = Tensor(np.zeros(config.n_class, dtype=dtype), requires_grad=True)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("tokenizer.w_embed", self.tokenizer.w_embed),
-               ("tokenizer.class_token", self.tokenizer.class_token)]
-        if self.tokenizer.pos_table is not None:
-            out.append(("tokenizer.pos_table", self.tokenizer.pos_table))
+        out = _tensor_fields("tokenizer", self.tokenizer)
         for i, blk in enumerate(self.stack.blocks):
-            for name in ("ln1_gain", "ln1_bias", "w_q", "w_k", "w_v", "w_o",
-                         "ln2_gain", "ln2_bias", "w1", "b1", "w2", "b2"):
-                out.append((f"block{i}.{name}", getattr(blk, name)))
-        out.append(("final.gain", self.stack.final_gain))
-        out.append(("final.bias", self.stack.final_bias))
-        out.append(("head.w", self.w_head))
-        out.append(("head.b", self.b_head))
-        return out
+            out += _tensor_fields(f"block{i}", blk)
+        return out + [("final.gain", self.stack.final_gain),
+                      ("final.bias", self.stack.final_bias),
+                      ("head.w", self.w_head), ("head.b", self.b_head)]
 
     def num_parameters(self) -> int:
         return sum(p.size for _, p in self.parameters())
@@ -148,8 +136,7 @@ class TSTModel:
         feature, class_tokens = stack_forward(tokens, self.stack, training=training,
                                               p_drop=self.config.p_drop, rng=rng)
         logits = T.add(T.matmul(feature, self.w_head), self.b_head)
-        probs = T.softmax(logits, axis=-1)
-        return ForwardResult(probs=probs, logits=logits, class_tokens=class_tokens)
+        return ForwardResult(logits=logits, class_tokens=class_tokens)
 
     def predict(self, x) -> np.ndarray:
         """Row-wise argmax class index (ties resolve to the lowest index)."""
@@ -157,44 +144,36 @@ class TSTModel:
             return np.argmax(self.forward(x, training=False).logits.data, axis=1)
 
 
-def _check_labels(labels, n_class: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _tensor_fields(prefix: str, params) -> list[tuple[str, Tensor]]:
+    """(prefix.field, tensor) for each dataclass field holding a Tensor, in
+    declared order; non-tensor fields and absent (None) tensors are skipped."""
+    values = ((f.name, getattr(params, f.name)) for f in fields(params))
+    return [(f"{prefix}.{name}", v) for name, v in values if isinstance(v, Tensor)]
+
+
+def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
+    """-(1/B) sum_i log softmax(logits)[i, label_i], via log-sum-exp."""
+    logits = T.as_tensor(logits)
+    labels, n_class = np.asarray(labels), logits.shape[-1]
     if labels.ndim != 1:
         raise DataError(f"labels must be 1-d, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_class):
         raise DataError(f"labels outside [0, {n_class}): saw {labels.min()}..{labels.max()}")
-    return labels.astype(np.int64)
-
-
-def cross_entropy(probs: Tensor, labels) -> Tensor:
-    """-(1/B) sum_i log probs[i, label_i], straight from probabilities."""
-    probs = T.as_tensor(probs)
-    labels = _check_labels(labels, probs.shape[-1])
-    return T.neg(T.mean(T.log(T.gather_rows(probs, labels))))
-
-
-def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
-    """Same loss computed from logits via log-sum-exp (the training path)."""
-    logits = T.as_tensor(logits)
-    labels = _check_labels(labels, logits.shape[-1])
+    labels = labels.astype(np.int64)
     return T.neg(T.mean(T.gather_rows(T.log_softmax(logits, axis=-1), labels)))
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 #
-# Layout (all little-endian): magic "TST1"; config fields in declared order
-# (ints as u32, floats as f64, pos_encoding as u8: 1=learned-1d, 0=none);
+# Layout (all little-endian): magic "TST1"; the _INT_FIELDS as u32, then the
+# _FLOAT_FIELDS as f64, then pos_encoding as u8 (1=learned-1d, 0=none);
 # u32 parameter count; then per parameter u32 ndim, u32 dims..., float32
 # data in enumeration order. Round-trips bit-exactly for float32 models.
 
-_INT_FIELDS = ("L", "ns", "dim", "dim_mlp", "d_k", "heads", "depth",
-               "n_class", "lr_step", "batch_size", "epochs")
-_FLOAT_FIELDS = ("p_drop", "lr", "lr_gamma")
-
 
 def save_checkpoint(model: TSTModel, path):
-    cfg = model.config
+    cfg = model.config.validate()   # every int field must fit its u32
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<" + "I" * len(_INT_FIELDS),
@@ -239,6 +218,8 @@ def load_checkpoint(path, expected_config: TSTConfig | None = None) -> TSTModel:
             raise ConfigError(f"checkpoint holds {count} tensors, model expects {len(params)}")
         for name, p in params:
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, name))
+            if ndim != p.ndim:
+                raise DataError(f"checkpoint tensor {name} has rank {ndim}, expected {p.ndim}")
             shape = struct.unpack("<" + "I" * ndim, _read_exact(fh, 4 * ndim, name))
             if shape != p.shape:
                 raise ConfigError(f"checkpoint tensor {name} has shape {shape}, expected {p.shape}")

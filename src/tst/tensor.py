@@ -96,9 +96,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
@@ -373,15 +370,6 @@ def gelu(x) -> Tensor:
         return (g * (phi + x.data * pdf),)
 
     return _result(out, (x,), vjp)
-
-
-def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """Common tanh approximation of gelu (cubic constant 0.044715).
-
-    Plain ndarray helper, kept for comparison against the erf form.
-    """
-    x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
 def dropout(x, p_drop: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -1,15 +1,17 @@
 """Turn a raw 1-d vibration window into a tokens sequence.
 
-The pipeline is: cut the window into ``ns`` contiguous subsequences, map
-each through one shared linear embedding, prepend a learnable class token,
-and (optionally) add a learnable per-position table. The class token lives
-at slot 0 of every sequence and is the only input-independent token; the
-final classifier reads the feature off that slot.
+The pipeline, sized by the model's ``TSTConfig``, is: cut the window into
+``ns`` contiguous subsequences, map each through one shared linear
+embedding, prepend a learnable class token, and (optionally) add a
+learnable per-position table. The class token lives at slot 0 of every
+sequence and is the only input-independent token; the final classifier
+reads the feature off that slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,34 +19,15 @@ from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .model import TSTConfig
+
 POS_LEARNED_1D = "1d"
 POS_NONE = "none"
 
 # std for the class-token / position-table gaussian init; small enough that
 # early attention stays near-uniform
 INIT_STD = 0.02
-
-
-@dataclass
-class TokenizerConfig:
-    length: int
-    ns: int
-    dim: int
-    pos_encoding: str = POS_LEARNED_1D
-
-    def validate(self):
-        if self.length < 1 or self.ns < 1 or self.dim < 1:
-            raise ConfigError(f"tokenizer extents must be positive, got {self}")
-        if self.length % self.ns != 0:
-            raise ConfigError(
-                f"series length {self.length} is not divisible into {self.ns} subsequences"
-            )
-        if self.pos_encoding not in (POS_LEARNED_1D, POS_NONE):
-            raise ConfigError(f"unknown position encoding {self.pos_encoding!r}")
-
-    @property
-    def sub_len(self) -> int:
-        return self.length // self.ns
 
 
 @dataclass
@@ -56,7 +39,7 @@ class TokenizerParams:
     pos_table: Tensor | None  # (ns + 1, dim) or None
 
     @classmethod
-    def init(cls, config: TokenizerConfig, rng: np.random.Generator, dtype=np.float32):
+    def init(cls, config: TSTConfig, rng: np.random.Generator, dtype=np.float32):
         config.validate()
         w = Tensor(T.xavier_uniform(rng, config.sub_len, config.dim, dtype), requires_grad=True)
         ct = Tensor(rng.normal(0.0, INIT_STD, size=(1, config.dim)).astype(dtype), requires_grad=True)
@@ -114,11 +97,3 @@ def tokenize(
             )
         seq = T.add(seq, params.pos_table)
     return T.dropout(seq, p_drop, training, rng)
-
-
-def parameter_count(config: TokenizerConfig) -> int:
-    """Closed-form trainable scalar count for this stage."""
-    n = config.sub_len * config.dim + config.dim
-    if config.pos_encoding == POS_LEARNED_1D:
-        n += (config.ns + 1) * config.dim
-    return n

@@ -30,11 +30,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: list[Tensor], beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "AdamState":
+    def init(cls, params: list[Tensor]) -> "AdamState":
         return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params],
-                   t=0, beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float):
@@ -95,21 +93,24 @@ class StudyReport:
     def final_accs(self) -> list[float]:
         return [t.final_test_acc for t in self.trials]
 
+    def _reduce(self, statistic) -> float:   # nan when no trial finished
+        return float(statistic(self.final_accs)) if self.trials else float("nan")
+
     @property
     def top_acc(self) -> float:
-        return max(self.final_accs)
+        return self._reduce(max)
 
     @property
     def min_acc(self) -> float:
-        return min(self.final_accs)
+        return self._reduce(min)
 
     @property
     def avg_acc(self) -> float:
-        return float(np.mean(self.final_accs))
+        return self._reduce(np.mean)
 
     @property
     def std(self) -> float:
-        return float(np.std(self.final_accs))  # population std; 0 for one trial
+        return self._reduce(np.std)  # population std; 0 for one trial
 
     def lines(self) -> list[str]:
         out = ["trial,seed,final_test_acc,status"]
@@ -185,17 +186,17 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
     return report
 
 
-def repeat_trials(split: DatasetSplit, config: TSTConfig, n_trials: int,
-                  seeds: list[int] | None = None, jobs: int = 1) -> StudyReport:
-    """Independent re-init + retrain per seed; failures are recorded and the
-    study continues. Results are aggregated in seed order, so the report
-    does not depend on scheduling."""
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if seeds is None:
-        seeds = list(range(n_trials))
-    if len(seeds) != n_trials:
-        raise ConfigError(f"{n_trials} trials but {len(seeds)} seeds")
+def repeat_trials(split: DatasetSplit, config: TSTConfig, seeds: list[int],
+                  jobs: int = 1) -> StudyReport:
+    """One independent re-init + retrain per seed, on ``jobs`` threads;
+    failures are recorded and the study continues. Results are aggregated
+    in seed order, so the report does not depend on scheduling."""
+    if not seeds:
+        raise ConfigError("a study needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"duplicate seeds would repeat one trial: {list(seeds)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     def run(seed: int) -> TrialReport:
         model = TSTModel(config, seed=seed)
@@ -203,20 +204,13 @@ def repeat_trials(split: DatasetSplit, config: TSTConfig, n_trials: int,
 
     results: dict[int, TrialReport] = {}
     failures: dict[int, str] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {seed: pool.submit(run, seed) for seed in seeds}
-        for seed, fut in futures.items():
-            try:
-                results[seed] = fut.result()
-            except TrainingAbort as exc:
-                failures[seed] = str(exc)
-    else:
-        for seed in seeds:
-            try:
-                results[seed] = run(seed)
-            except TrainingAbort as exc:
-                failures[seed] = str(exc)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {seed: pool.submit(run, seed) for seed in seeds}
+    for seed, fut in futures.items():
+        try:
+            results[seed] = fut.result()
+        except TrainingAbort as exc:
+            failures[seed] = str(exc)
 
     ordered = sorted(seeds)
     return StudyReport(

@@ -7,11 +7,11 @@ Each block computes
 
 with the normalization inside the residual branch. The stack output is the
 LayerNorm of the class-token slot of the last block; the per-block class
-tokens are captured along the way for embedding-space inspection.
+tokens are copied out, detached, for embedding-space inspection.
 
 Projections carry no bias terms; the MLP does. Attention heads are stored
-fused: w_q/w_k are (dim, heads*d_k), w_v is (dim, heads*d_v), and w_o maps
-(heads*d_v) back to dim.
+fused: w_q/w_k/w_v are (dim, heads*d_k) and w_o maps (heads*d_k) back to
+dim, so a block's dim and d_k are read off ``w_q.shape``.
 """
 
 from __future__ import annotations
@@ -27,22 +27,14 @@ from .tensor import Tensor
 
 
 @dataclass
-class AttentionConfig:
-    heads: int
-    d_k: int
-    d_v: int
-    dim: int
-
-
-@dataclass
 class BlockParams:
-    attn: AttentionConfig
+    heads: int
     ln1_gain: Tensor
     ln1_bias: Tensor
     w_q: Tensor   # (dim, heads*d_k)
     w_k: Tensor   # (dim, heads*d_k)
-    w_v: Tensor   # (dim, heads*d_v)
-    w_o: Tensor   # (heads*d_v, dim)
+    w_v: Tensor   # (dim, heads*d_k)
+    w_o: Tensor   # (heads*d_k, dim)
     ln2_gain: Tensor
     ln2_bias: Tensor
     w1: Tensor    # (dim, dim_mlp)
@@ -51,7 +43,7 @@ class BlockParams:
     b2: Tensor
 
     @classmethod
-    def init(cls, dim: int, dim_mlp: int, heads: int, d_k: int, d_v: int,
+    def init(cls, dim: int, dim_mlp: int, heads: int, d_k: int,
              rng: np.random.Generator, dtype=np.float32):
         def ones(n):
             return Tensor(np.ones(n, dtype=dtype), requires_grad=True)
@@ -63,12 +55,12 @@ class BlockParams:
             return Tensor(T.xavier_uniform(rng, fan_in, fan_out, dtype), requires_grad=True)
 
         return cls(
-            attn=AttentionConfig(heads=heads, d_k=d_k, d_v=d_v, dim=dim),
+            heads=heads,
             ln1_gain=ones(dim), ln1_bias=zeros(dim),
             w_q=xavier(dim, heads * d_k),
             w_k=xavier(dim, heads * d_k),
-            w_v=xavier(dim, heads * d_v),
-            w_o=xavier(heads * d_v, dim),
+            w_v=xavier(dim, heads * d_k),
+            w_o=xavier(heads * d_k, dim),
             ln2_gain=ones(dim), ln2_bias=zeros(dim),
             w1=xavier(dim, dim_mlp), b1=zeros(dim_mlp),
             w2=xavier(dim_mlp, dim), b2=zeros(dim),
@@ -82,9 +74,9 @@ class TransformerStack:
     final_bias: Tensor | None = None
 
     @classmethod
-    def init(cls, depth: int, dim: int, dim_mlp: int, heads: int, d_k: int, d_v: int,
+    def init(cls, depth: int, dim: int, dim_mlp: int, heads: int, d_k: int,
              rng: np.random.Generator, dtype=np.float32):
-        blocks = [BlockParams.init(dim, dim_mlp, heads, d_k, d_v, rng, dtype) for _ in range(depth)]
+        blocks = [BlockParams.init(dim, dim_mlp, heads, d_k, rng, dtype) for _ in range(depth)]
         return cls(
             blocks=blocks,
             final_gain=Tensor(np.ones(dim, dtype=dtype), requires_grad=True),
@@ -127,24 +119,25 @@ def multi_head(x: Tensor, params: BlockParams, return_weights: bool = False):
     """
     x = T.as_tensor(x)
     b, n, dim = x.shape
-    a = params.attn
-    if dim != a.dim:
-        raise ShapeError(f"input depth {dim} does not match attention dim {a.dim}")
+    model_dim, width = params.w_q.shape      # width = heads * d_k
+    if dim != model_dim:
+        raise ShapeError(f"input depth {dim} does not match attention dim {model_dim}")
 
-    def split_heads(t: Tensor, per_head: int) -> Tensor:
-        t = T.reshape(t, (b, n, a.heads, per_head))
-        return T.transpose(t, (0, 2, 1, 3))     # (B, heads, n, per_head)
+    def split_heads(t: Tensor) -> Tensor:
+        t = T.reshape(t, (b, n, params.heads, width // params.heads))
+        return T.transpose(t, (0, 2, 1, 3))     # (B, heads, n, d_k)
 
-    q = split_heads(T.matmul(x, params.w_q), a.d_k)
-    k = split_heads(T.matmul(x, params.w_k), a.d_k)
-    v = split_heads(T.matmul(x, params.w_v), a.d_v)
+    q = split_heads(T.matmul(x, params.w_q))
+    k = split_heads(T.matmul(x, params.w_k))
+    v = split_heads(T.matmul(x, params.w_v))
 
-    ctx, weights = scaled_dot_product_attention(q, k, v, return_weights=True)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, a.heads * a.d_v))
-    out = T.matmul(ctx, params.w_o)
     if return_weights:
-        return out, weights
-    return out
+        ctx, weights = scaled_dot_product_attention(q, k, v, return_weights=True)
+    else:
+        ctx = scaled_dot_product_attention(q, k, v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, width))
+    out = T.matmul(ctx, params.w_o)
+    return (out, weights) if return_weights else out
 
 
 def block_forward(
@@ -176,11 +169,12 @@ def stack_forward(
     """Run every block, then LayerNorm the class-token slot.
 
     Returns (feature (B, dim), per-block class tokens [(B, dim)] * depth).
+    The class tokens are detached leaves: no gradient flows through them.
     """
     y = tokens
     class_tokens = []
     for block in stack.blocks:
         y = block_forward(y, block, training=training, p_drop=p_drop, rng=rng)
-        class_tokens.append(y[:, 0, :])
+        class_tokens.append(Tensor(y.data[:, 0, :]))
     feature = T.layer_norm(y[:, 0, :], stack.final_gain, stack.final_bias)
     return feature, class_tokens

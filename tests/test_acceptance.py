@@ -165,7 +165,7 @@ def test_criterion_4_structural_invariants(rng):
 
     # residual degeneracy: zeroed output projections make every block the identity
     from tst.transformer import TransformerStack, stack_forward
-    stack = TransformerStack.init(3, 6, 12, 2, 3, 3, np.random.default_rng(0), np.float64)
+    stack = TransformerStack.init(3, 6, 12, 2, 3, np.random.default_rng(0), np.float64)
     for blk in stack.blocks:
         blk.w_o = Tensor(np.zeros(blk.w_o.shape))
         blk.w2 = Tensor(np.zeros(blk.w2.shape))
@@ -225,7 +225,7 @@ def test_criterion_6_subsequence_length_trend():
     for ns in (64, 1):     # subsequence lengths 8 and 512
         cfg = TSTConfig(L=512, ns=ns, dim=32, dim_mlp=64, d_k=16, heads=2, depth=2,
                         n_class=10, epochs=10, batch_size=64, lr=1e-3)
-        study = repeat_trials(split, cfg, 5, seeds=[101, 102, 103, 104, 105])
+        study = repeat_trials(split, cfg, seeds=[101, 102, 103, 104, 105])
         means[512 // ns] = study.avg_acc
     elapsed = time.monotonic() - start
     assert means[512] < means[8], means

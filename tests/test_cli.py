@@ -115,6 +115,19 @@ def test_study_degenerate_and_aggregates(small_dataset, tmp_path):
     assert (out / "trial_7.csv").exists() and (out / "trial_8.csv").exists()
 
 
+def test_study_with_every_trial_aborted_exits_4(small_dataset, tmp_path, capsys):
+    out = tmp_path / "study"
+    code = run(["study", "--data", str(small_dataset), "--trials", "2",
+                "--out-dir", str(out)] + SMALL_MODEL + ["--lr", "1e30"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("runtime error: all 2 trials aborted")
+    lines = (out / "study_report.csv").read_text().splitlines()
+    assert [l.split(",")[1] for l in lines[1:3]] == ["0", "1"]
+    assert all(",nan,failed: non-finite" in l for l in lines[1:3])
+    assert lines[-1] == "summary,trials=0,top_acc=nan,min_acc=nan,avg_acc=nan,std=nan"
+
+
 def test_cost_sweep(capsys):
     assert run(["cost", "--sweep", "table4"]) == 0
     out = capsys.readouterr().out

@@ -145,14 +145,6 @@ def test_csv_expected_length_enforced(tmp_path):
         data.load_csv(p, length=2048)
 
 
-def test_csv_label_last_policy(tmp_path):
-    p = tmp_path / "last.csv"
-    p.write_text("0.5,1.5,2\n")
-    rows = data.load_csv(p, label_policy="last")
-    assert rows[0].label == 2
-    np.testing.assert_allclose(rows[0].samples, [0.5, 1.5])
-
-
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -206,8 +198,8 @@ def test_standardize_and_stacking(rng):
     assert x.shape == (20, 64) and y.shape == (20,)
     np.testing.assert_allclose(x.mean(axis=1), 0.0, atol=1e-5)
     np.testing.assert_allclose(x.std(axis=1), 1.0, atol=1e-3)
-    raw, _ = data.windows_to_arrays(windows, normalize=False)
-    np.testing.assert_array_equal(raw[0], windows[0].samples)
+    raw = np.stack([w.samples for w in windows])
+    np.testing.assert_array_equal(x, data.standardize(raw))
 
 
 def test_windows_to_arrays_mixed_lengths_rejected():

@@ -1,13 +1,16 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from oracles import cross_entropy
+from tst import model as tstmodel
 from tst.errors import ConfigError, DataError
-from tst.model import (TSTConfig, TSTModel, cross_entropy, cross_entropy_from_logits,
-                       load_checkpoint, save_checkpoint)
-from tst.tensor import Tensor, backward
+from tst.model import (TSTConfig, TSTModel, cross_entropy_from_logits, load_checkpoint,
+                       save_checkpoint)
+from tst.tensor import Tensor, backward, log_softmax
 from tst.training import AdamState, adam_step
 
 TINY = dict(L=32, ns=4, dim=8, dim_mlp=16, d_k=4, heads=2, depth=1, n_class=10,
@@ -36,12 +39,33 @@ def test_config_validation_rejects_bad_combos():
         TSTConfig(pos_encoding="2d").validate()
     with pytest.raises(ConfigError):
         TSTConfig.from_dict({"dim": 32, "bogus": 1})
+    with pytest.raises(ConfigError):
+        TSTConfig(L=0, ns=1).validate()
+
+
+def test_config_int_fields_must_fit_u32():
+    assert tstmodel._INT_FIELDS == ("L", "ns", "dim", "dim_mlp", "d_k", "heads", "depth",
+                                    "n_class", "lr_step", "batch_size", "epochs")
+    assert tstmodel._FLOAT_FIELDS == ("p_drop", "lr", "lr_gamma")
+    TSTConfig(epochs=2**32 - 1).validate()
+    for name in tstmodel._INT_FIELDS:
+        with pytest.raises(ConfigError, match=name):
+            TSTConfig(**{name: 2**32}).validate()
+
+
+def test_save_checkpoint_rejects_field_beyond_u32(tmp_path):
+    model = tiny_model()
+    model.config.epochs = 2**32
+    with pytest.raises(ConfigError, match="epochs"):
+        save_checkpoint(model, tmp_path / "model.tst")
+    assert not (tmp_path / "model.tst").exists()
 
 
 def test_probs_rows_sum_to_one(rng):
     model = tiny_model()
     res = model.forward(rng.normal(size=(5, 32)))
-    np.testing.assert_allclose(res.probs.data.sum(axis=1), 1.0, atol=1e-6)
+    probs = np.exp(log_softmax(res.logits, axis=-1).data)   # what the loss reads
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_zero_head_gives_uniform_probs(rng):
@@ -49,22 +73,17 @@ def test_zero_head_gives_uniform_probs(rng):
     model.w_head = Tensor(np.zeros((8, 10), dtype=np.float32), requires_grad=True)
     model.b_head = Tensor(np.zeros(10, dtype=np.float32), requires_grad=True)
     res = model.forward(rng.normal(size=(3, 32)))
-    np.testing.assert_allclose(res.probs.data, 0.1, atol=1e-7)
+    np.testing.assert_array_equal(res.logits.data, 0.0)    # equal logits: uniform probs
+    assert abs(cross_entropy_from_logits(res.logits, [1, 5, 9]).item() - math.log(10)) < 1e-6
     # uniform probs tie-break to class 0
     np.testing.assert_array_equal(model.predict(rng.normal(size=(3, 32))), 0)
-
-
-def test_argmax_probs_equals_argmax_logits(rng):
-    res = tiny_model().forward(rng.normal(size=(6, 32)))
-    np.testing.assert_array_equal(np.argmax(res.probs.data, axis=1),
-                                  np.argmax(res.logits.data, axis=1))
 
 
 def test_predict_matches_forward(rng):
     model = tiny_model(seed=4)
     x = rng.normal(size=(5, 32))
     np.testing.assert_array_equal(model.predict(x),
-                                  np.argmax(model.forward(x).probs.data, axis=1))
+                                  np.argmax(model.forward(x).logits.data, axis=1))
 
 
 def test_logit_shift_invariance(rng):
@@ -203,3 +222,17 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path):
     (tmp_path / "junk.tst").write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "junk.tst")
+
+
+def test_checkpoint_corrupt_rank_rejected_before_reading_dims(tmp_path):
+    path = tmp_path / "model.tst"
+    save_checkpoint(tiny_model(seed=1), path)
+    blob = bytearray(path.read_bytes())
+    # magic, u32 ints, f64 floats, u8 position flag, u32 tensor count
+    first_rank = (4 + 4 * len(tstmodel._INT_FIELDS) + 8 * len(tstmodel._FLOAT_FIELDS)
+                  + 1 + 4)
+    assert struct.unpack_from("<I", blob, first_rank) == (2,)   # tokenizer.w_embed
+    struct.pack_into("<I", blob, first_rank, 2**32 - 1)
+    (tmp_path / "rank.tst").write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="rank 4294967295, expected 2"):
+        load_checkpoint(tmp_path / "rank.tst")

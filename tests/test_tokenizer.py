@@ -3,11 +3,12 @@ import pytest
 
 from tst import tokenizer as tok
 from tst.errors import ConfigError
+from tst.model import TSTConfig
 from tst.tensor import Tensor
 
 
 def make_params(length, ns, dim, pos="1d", seed=0):
-    cfg = tok.TokenizerConfig(length=length, ns=ns, dim=dim, pos_encoding=pos)
+    cfg = TSTConfig(L=length, ns=ns, dim=dim, pos_encoding=pos)
     return cfg, tok.TokenizerParams.init(cfg, np.random.default_rng(seed))
 
 
@@ -103,21 +104,8 @@ def test_tokenize_dropout_only_in_training(rng):
     assert np.any(train_out.data == 0.0)
 
 
-def test_parameter_count_closed_form():
-    for length, ns, dim, pos in [(2048, 256, 128, "1d"), (64, 8, 16, "none")]:
-        cfg, params = make_params(length, ns, dim, pos)
-        actual = params.w_embed.size + params.class_token.size
-        if params.pos_table is not None:
-            actual += params.pos_table.size
-        assert tok.parameter_count(cfg) == actual
-        expected = (length // ns) * dim + dim + ((ns + 1) * dim if pos == "1d" else 0)
-        assert tok.parameter_count(cfg) == expected
-
-
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        tok.TokenizerConfig(length=10, ns=3, dim=4).validate()
-    with pytest.raises(ConfigError):
-        tok.TokenizerConfig(length=8, ns=2, dim=4, pos_encoding="2d").validate()
-    with pytest.raises(ConfigError):
-        tok.TokenizerConfig(length=0, ns=1, dim=4).validate()
+    rng = np.random.default_rng(0)
+    for bad in (dict(L=10, ns=3), dict(L=8, ns=2, pos_encoding="2d"), dict(L=0, ns=1)):
+        with pytest.raises(ConfigError):
+            tok.TokenizerParams.init(TSTConfig(dim=4, **bad), rng)

@@ -216,14 +216,14 @@ def quick_cfg(epochs=2):
 
 def test_repeat_trials_single_trial_degenerate_stats():
     split = two_class_split()
-    study = repeat_trials(split, quick_cfg(), n_trials=1, seeds=[7])
+    study = repeat_trials(split, quick_cfg(), seeds=[7])
     assert study.top_acc == study.min_acc == study.avg_acc
     assert study.std == 0.0
 
 
 def test_repeat_trials_ordering_invariant():
     split = two_class_split()
-    study = repeat_trials(split, quick_cfg(), n_trials=3, seeds=[3, 1, 2])
+    study = repeat_trials(split, quick_cfg(), seeds=[3, 1, 2])
     assert study.top_acc >= study.avg_acc >= study.min_acc
     assert study.min_acc <= study.avg_acc <= study.top_acc
     assert [t.seed for t in study.trials] == [1, 2, 3]  # sorted by seed
@@ -231,8 +231,8 @@ def test_repeat_trials_ordering_invariant():
 
 def test_repeat_trials_parallel_matches_serial():
     split = two_class_split()
-    serial = repeat_trials(split, quick_cfg(), n_trials=2, seeds=[4, 5], jobs=1)
-    parallel = repeat_trials(split, quick_cfg(), n_trials=2, seeds=[4, 5], jobs=2)
+    serial = repeat_trials(split, quick_cfg(), seeds=[4, 5], jobs=1)
+    parallel = repeat_trials(split, quick_cfg(), seeds=[4, 5], jobs=2)
     assert serial.trials == parallel.trials
 
 
@@ -246,7 +246,7 @@ def test_repeat_trials_records_failures_and_continues(monkeypatch):
         return real_train(model, split_, cfg, seed)
 
     monkeypatch.setattr(training, "train", sometimes_fail)
-    study = repeat_trials(split, quick_cfg(), n_trials=3, seeds=[1, 2, 3])
+    study = repeat_trials(split, quick_cfg(), seeds=[1, 2, 3])
     assert [t.seed for t in study.trials] == [1, 3]
     assert study.failed_seeds == [(2, "injected failure")]
     assert any("failed" in line for line in study.lines())
@@ -254,7 +254,9 @@ def test_repeat_trials_records_failures_and_continues(monkeypatch):
 
 def test_repeat_trials_validation():
     split = two_class_split()
-    with pytest.raises(ConfigError):
-        repeat_trials(split, quick_cfg(), n_trials=0)
-    with pytest.raises(ConfigError):
-        repeat_trials(split, quick_cfg(), n_trials=2, seeds=[1])
+    with pytest.raises(ConfigError, match="at least one seed"):
+        repeat_trials(split, quick_cfg(), seeds=[])
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        repeat_trials(split, quick_cfg(), seeds=[5, 5, 5])   # one trial, reported thrice
+    with pytest.raises(ConfigError, match="jobs"):
+        repeat_trials(split, quick_cfg(), seeds=[1], jobs=0)

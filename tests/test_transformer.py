@@ -3,12 +3,13 @@ import numpy as np
 from tst import tensor as T
 from tst import tokenizer as tok
 from tst import transformer as tf
+from tst.model import TSTConfig
 from tst.tensor import Tensor, backward
 from tst.gradcheck import numerical_grads, max_rel_error
 
 
 def make_block(dim=6, dim_mlp=12, heads=2, d_k=3, seed=0, dtype=np.float64):
-    return tf.BlockParams.init(dim, dim_mlp, heads, d_k, d_k,
+    return tf.BlockParams.init(dim, dim_mlp, heads, d_k,
                                np.random.default_rng(seed), dtype)
 
 
@@ -135,7 +136,7 @@ def test_block_gradients_match_finite_differences(rng):
 
 
 def make_stack(depth, dim=6, dim_mlp=12, heads=2, d_k=3, seed=0, dtype=np.float64):
-    return tf.TransformerStack.init(depth, dim, dim_mlp, heads, d_k, d_k,
+    return tf.TransformerStack.init(depth, dim, dim_mlp, heads, d_k,
                                     np.random.default_rng(seed), dtype)
 
 
@@ -176,7 +177,7 @@ def test_msa_is_permutation_equivariant(rng):
 
 def _feature_after_permutation(pos, rng, permute):
     """Tokenize + stack with subsequence order optionally permuted."""
-    cfg = tok.TokenizerConfig(length=24, ns=6, dim=6, pos_encoding=pos)
+    cfg = TSTConfig(L=24, ns=6, dim=6, pos_encoding=pos)
     params = tok.TokenizerParams.init(cfg, np.random.default_rng(11), np.float64)
     stack = make_stack(depth=2, seed=12)
     x = rng.normal(size=(3, 24))
