@@ -52,7 +52,7 @@ def cost_report(config: TSTConfig) -> CostReport:
     config.validate()
     n = config.ns + 1                      # tokens incl. class slot
     dim, d_k, h = config.dim, config.d_k, config.heads
-    hd = h * d_k                           # fused projection width (d_v = d_k)
+    hd = h * d_k                           # fused q, k, v (and o) projection width
 
     per_block_params = (
         2 * 2 * dim                        # two LayerNorm gain/bias pairs
