@@ -8,6 +8,12 @@ adjoint to input adjoints. ``backward()`` on a scalar result builds a
 ``Tape`` (the reverse-topological schedule of recorded ops) and replays
 the pullbacks, accumulating ``grad`` on every ``requires_grad`` leaf.
 
+A graph can be backpropagated once. Backward releases it as it goes: each
+interior node drops its parents and its pullback (and with them every
+intermediate the pullback kept) right after use, so a second ``backward``
+through the same nodes raises ``ValueError``. Build the loss again to
+accumulate a second gradient.
+
 Values default to float32; pass float64 arrays (or ``dtype=np.float64``)
 when finite-difference tolerances demand it. Tensors are treated as
 immutable once created; only an optimizer may rewrite a leaf's ``data``
@@ -202,20 +208,32 @@ class Tape:
         return list(self._order)
 
     def run_backward(self, seed: np.ndarray):
+        """Push ``seed`` back through the schedule, releasing the graph as it
+        goes: each interior node is popped, pulled back once, then cut from
+        its parents and its pullback, so every intermediate the forward kept
+        is freed as soon as backward no longer needs it."""
         adjoints: dict[int, np.ndarray] = {id(self._root): np.asarray(seed, dtype=self._root.dtype)}
-        for node in reversed(self._order):
+        order = self._order
+        while order:
+            node = order.pop()
             g = adjoints.pop(id(node), None)
-            if g is None:
-                continue
             if node._vjp is None:
-                # leaf: accumulate (repeated backward calls add up until zero_grad)
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                if g is not None:
+                    # leaf: accumulate (repeated backward calls add up until zero_grad)
+                    node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            parents = node._parents
+            pgs = node._vjp(g) if g is not None else ()
+            node._parents, node._vjp = (), _released
+            for parent, pg in zip(parents, pgs):
                 if pg is None or not parent.requires_grad:
                     continue
                 acc = adjoints.get(id(parent))
                 adjoints[id(parent)] = pg if acc is None else acc + pg
+
+
+def _released(g):
+    raise ValueError("graph already released by backward()")
 
 
 def backward(loss: Tensor):
@@ -383,10 +401,15 @@ def dropout(x, p_drop: float, training: bool, rng: np.random.Generator | None = 
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
-    keep = (rng.random(x.shape) >= p_drop).astype(x.dtype)
-    scale = 1.0 / (1.0 - p_drop)
-    mask = keep * scale
-    return _result(x.data * mask, (x,), lambda g: (g * mask,))
+    keep = rng.random(x.shape) >= p_drop   # boolean: a quarter of a float32 mask
+    scale = x.dtype.type(1.0 / (1.0 - p_drop))
+
+    def apply(a):
+        out = a * keep   # (a * keep) * scale rounds exactly as a * (keep * scale)
+        out *= scale
+        return out
+
+    return _result(apply(x.data), (x,), lambda g: (apply(g),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

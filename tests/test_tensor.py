@@ -125,12 +125,33 @@ def test_backward_shared_subexpression_sums():
 
 def test_backward_accumulates_until_reset():
     x = Tensor(np.array(1.0), requires_grad=True)
-    loss = T.mul(x, 3.0)
-    backward(loss)
-    backward(loss)
+    backward(T.mul(x, 3.0))
+    backward(T.mul(x, 3.0))   # a graph backpropagates once, so build the loss again
     assert x.grad == 6.0
     x.zero_grad()
     assert x.grad is None
+
+
+def test_backward_releases_the_graph(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    loss = T.tsum(T.gelu(T.matmul(T.layer_norm(x, np.ones(4), np.zeros(4)), w)))
+    interior = [node for node in T.Tape(loss).nodes() if not node.is_leaf()]
+    assert len(interior) == 4
+    backward(loss)
+    assert all(node._parents == () and not node.is_leaf() for node in interior)
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_second_backward_through_a_graph_raises(rng):
+    x = Tensor(rng.normal(size=3), requires_grad=True)
+    hidden = T.mul(x, x)
+    backward(T.tsum(hidden))
+    with pytest.raises(ValueError, match="released"):
+        backward(T.tsum(hidden))   # a new root over the released node
+    with pytest.raises(ValueError, match="released"):
+        backward(T.tsum(T.mul(hidden, 2.0)))
+    np.testing.assert_allclose(x.grad, 2.0 * x.data)   # the first pass alone
 
 
 def test_backward_usage_errors():
