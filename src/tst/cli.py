@@ -11,7 +11,8 @@ package version, and a timestamp. Identical flags + seed give byte
 identical primary outputs; only the manifest timestamp differs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
-failure.
+failure; any other exception is a bug and also exits 4, with a single
+``internal error:`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (TrainingAbort, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:   # a bug, not bad input: still one line, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

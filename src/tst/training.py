@@ -35,8 +35,14 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float):
-    """Standard bias-corrected Adam update, in place on the parameter data."""
+def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float,
+              names: list[str] | None = None):
+    """Standard bias-corrected Adam update of the parameter data.
+
+    A non-finite gradient, second moment or updated value aborts the step
+    before that parameter changes, naming it by ``names[i]`` (default: its
+    index); the overflow that produces it raises no numpy warning.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ConfigError("parameter / gradient / state lengths disagree")
     state.t += 1
@@ -44,13 +50,17 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
+        name = names[i] if names is not None else f"parameter {i}"
         if g is None or not np.all(np.isfinite(g)):
-            raise TrainingAbort(f"non-finite gradient for parameter {i} at step {state.t}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype, copy=False)
+            raise TrainingAbort(f"non-finite gradient for {name} at step {state.t}")
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            m = b1 * state.m[i] + (1.0 - b1) * g
+            v = b2 * state.v[i] + (1.0 - b2) * (g * g)
+            updated = p.data - (lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(
+                p.dtype, copy=False)
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(updated))):
+            raise TrainingAbort(f"non-finite Adam update for {name} at step {state.t}")
+        state.m[i], state.v[i], p.data = m, v, updated
 
 
 def lr_at_epoch(epoch: int, initial_lr: float = 3e-5, step: int = 10,
@@ -153,7 +163,7 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
         raise ConfigError(f"window length {x_train.shape[1]} does not match config L={config.L}")
 
     rng = np.random.default_rng(seed)
-    params = [p for _, p in model.parameters()]
+    names, params = zip(*model.parameters())
     state = AdamState.init(params)
     report = TrialReport(seed=seed)
 
@@ -174,7 +184,7 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
                 )
             model.zero_grad()
             backward(loss)
-            adam_step(params, [p.grad for p in params], state, lr)
+            adam_step(params, [p.grad for p in params], state, lr, names)
             epoch_loss += value * len(xb)
             epoch_correct += int(np.sum(np.argmax(result.logits.data, axis=1) == yb))
 

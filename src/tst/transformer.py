@@ -12,17 +12,21 @@ tokens are copied out, detached, for embedding-space inspection.
 Projections carry no bias terms; the MLP does. Attention heads are stored
 fused: w_q/w_k/w_v are (dim, heads*d_k) and w_o maps (heads*d_k) back to
 dim, so a block's dim and d_k are read off ``w_q.shape``.
+
+The attention itself is one op, ``tensor.self_attention``: the three
+projections, the per-head scaled dot products, the softmax and the head
+merge run as a single node whose hand-written pullback keeps only the
+block input, q, k, v and the attention probabilities, not the scores or
+any per-head transpose copy. Only ``w_o`` is a separate matmul.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -84,60 +88,17 @@ class TransformerStack:
         )
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
-    """softmax(q k^T / sqrt(d_k)) v over the last two axes.
-
-    Works for any leading batch extents; every attention-weight row is a
-    probability distribution over the key positions.
-    """
-    q, k, v = T.as_tensor(q), T.as_tensor(k), T.as_tensor(v)
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key depth disagree: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value token counts disagree: {k.shape} vs {v.shape}")
-    d_k = q.shape[-1]
-    # scale q instead of the (much larger) score matrix
-    scores = T.matmul(T.mul(q, 1.0 / math.sqrt(d_k)), T.transpose(k, _swap_last(k.ndim)))
-    weights = T.softmax(scores, axis=-1)
-    out = T.matmul(weights, v)
-    if return_weights:
-        return out, weights.numpy()
-    return out
-
-
-def _swap_last(ndim: int) -> tuple:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
-
-
 def multi_head(x: Tensor, params: BlockParams, return_weights: bool = False):
-    """Self-attention with fused per-head projections.
+    """Self-attention: the fused ``T.self_attention`` op, then ``w_o``.
 
     (B, n, dim) -> (B, n, dim); optionally also returns the (B, heads, n, n)
     attention maps as a detached array.
     """
-    x = T.as_tensor(x)
-    b, n, dim = x.shape
-    model_dim, width = params.w_q.shape      # width = heads * d_k
-    if dim != model_dim:
-        raise ShapeError(f"input depth {dim} does not match attention dim {model_dim}")
-
-    def split_heads(t: Tensor) -> Tensor:
-        t = T.reshape(t, (b, n, params.heads, width // params.heads))
-        return T.transpose(t, (0, 2, 1, 3))     # (B, heads, n, d_k)
-
-    q = split_heads(T.matmul(x, params.w_q))
-    k = split_heads(T.matmul(x, params.w_k))
-    v = split_heads(T.matmul(x, params.w_v))
-
+    ctx = T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads, return_weights)
     if return_weights:
-        ctx, weights = scaled_dot_product_attention(q, k, v, return_weights=True)
-    else:
-        ctx = scaled_dot_product_attention(q, k, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, width))
-    out = T.matmul(ctx, params.w_o)
-    return (out, weights) if return_weights else out
+        ctx, weights = ctx
+        return T.matmul(ctx, params.w_o), weights
+    return T.matmul(ctx, params.w_o)
 
 
 def block_forward(

@@ -128,6 +128,15 @@ def test_study_with_every_trial_aborted_exits_4(small_dataset, tmp_path, capsys)
     assert lines[-1] == "summary,trials=0,top_acc=nan,min_acc=nan,avg_acc=nan,std=nan"
 
 
+def test_unexpected_exception_is_one_line_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("unexpected\nacross lines")
+
+    monkeypatch.setattr(cli, "cmd_cost", broken)
+    assert run(["cost"]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "internal error: RuntimeError: unexpected across lines\n"
+
+
 def test_cost_sweep(capsys):
     assert run(["cost", "--sweep", "table4"]) == 0
     out = capsys.readouterr().out

@@ -136,7 +136,7 @@ def test_backward_releases_the_graph(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     loss = T.tsum(T.gelu(T.matmul(T.layer_norm(x, np.ones(4), np.zeros(4)), w)))
-    interior = [node for node in T.Tape(loss).nodes() if not node.is_leaf()]
+    interior = [node for node in Tape(loss).nodes() if not node.is_leaf()]
     assert len(interior) == 4
     backward(loss)
     assert all(node._parents == () and not node.is_leaf() for node in interior)

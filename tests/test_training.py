@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +92,26 @@ def test_adam_aborts_on_nan_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(TrainingAbort):
         adam_step([p], [np.array([np.nan])], AdamState.init([p]), lr=0.1)
+
+
+def test_adam_overflowing_update_leaves_the_parameter_unchanged():
+    p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
+    state = AdamState.init([p])
+    with pytest.raises(TrainingAbort, match="non-finite Adam update for w at step 1"):
+        adam_step([p], [np.array([1e20], dtype=np.float32)], state, lr=1.0, names=["w"])
+    assert p.data[0] == 1.0 and state.m[0][0] == 0.0   # g*g overflowed float32
+
+
+def test_huge_lr_aborts_naming_the_parameter_without_warnings():
+    split = two_class_split()
+    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "lr": 1e30, "epochs": 1})
+    model = TSTModel(cfg, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning would raise here
+        with pytest.raises(TrainingAbort, match="non-finite Adam update for ") as info:
+            train(model, split, cfg, seed=0)
+    name = str(info.value).split(" for ")[1].split(" at step ")[0]
+    assert name in dict(model.parameters()), str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +209,29 @@ def test_evaluation_never_mutates_parameters():
     before = param_digest(model)
     evaluate(model, x, y, batch_size=4)
     assert param_digest(model) == before
+
+
+def test_second_step_does_not_hold_the_first_steps_graph():
+    """Backward releases each step's graph, so two steps peak about as high
+    as one; holding the first graph through the second forward nearly
+    doubles the traced peak."""
+    split = two_class_split()
+    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": 1, "batch_size": 15,
+                       "p_drop": 0.1})
+
+    def traced_peak(n_train):
+        part = data.DatasetSplit(train=split.train[:n_train], test=split.test[:1],
+                                 split_seed=0)
+        model = TSTModel(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, part, cfg, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_step, two_steps = traced_peak(15), traced_peak(30)
+    assert two_steps < 1.5 * one_step, (one_step, two_steps)
 
 
 def test_train_aborts_on_poisoned_parameters():

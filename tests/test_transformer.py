@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 
+from conftest import op_grad_check
+from oracles import scaled_dot_product_attention, self_attention
 from tst import tensor as T
 from tst import tokenizer as tok
 from tst import transformer as tf
+from tst.errors import ShapeError
 from tst.model import TSTConfig
 from tst.tensor import Tensor, backward
 from tst.gradcheck import numerical_grads, max_rel_error
@@ -22,7 +26,7 @@ def test_attention_single_token_returns_value(rng):
     q = Tensor(rng.normal(size=(2, 1, 4)))
     k = Tensor(rng.normal(size=(2, 1, 4)))
     v = Tensor(rng.normal(size=(2, 1, 5)))
-    out = tf.scaled_dot_product_attention(q, k, v)
+    out = scaled_dot_product_attention(q, k, v)
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
 
@@ -30,7 +34,7 @@ def test_attention_uniform_when_scores_vanish(rng):
     k = Tensor(rng.normal(size=(1, 4, 3)))
     v = Tensor(rng.normal(size=(1, 4, 3)))
     q = Tensor(np.zeros((1, 4, 3)))  # orthogonal to every key
-    out = tf.scaled_dot_product_attention(q, k, v)
+    out = scaled_dot_product_attention(q, k, v)
     expected = np.broadcast_to(v.data.mean(axis=1, keepdims=True), out.shape)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -39,8 +43,8 @@ def test_attention_matches_per_row_oracle(rng):
     q = rng.normal(size=(1, 4, 3))
     k = rng.normal(size=(1, 4, 3))
     v = rng.normal(size=(1, 4, 5))
-    out, weights = tf.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v),
-                                                   return_weights=True)
+    out, weights = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v),
+                                                return_weights=True)
     for i in range(4):  # naive evaluation, one query row at a time
         scores = np.array([np.dot(q[0, i], k[0, j]) for j in range(4)]) / np.sqrt(3)
         w = np.exp(scores - scores.max())
@@ -56,7 +60,7 @@ def test_multi_head_degenerate_fusion_reduces_to_attention(rng):
     params.w_q = params.w_k = params.w_v = params.w_o = eye
     x = rng.normal(size=(2, 5, dim))
     out = tf.multi_head(Tensor(x), params)
-    direct = tf.scaled_dot_product_attention(Tensor(x), Tensor(x), Tensor(x))
+    direct = scaled_dot_product_attention(Tensor(x), Tensor(x), Tensor(x))
     np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
 
@@ -83,6 +87,43 @@ def test_multi_head_equals_manual_two_heads(rng):
         w = softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_k))
         concat[:, :, cols] = w @ v
     np.testing.assert_allclose(out, concat @ params.w_o.data, atol=1e-10)
+
+
+def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3):
+    """float64 input and projections; n, dim and d_k all differ."""
+    width = heads * d_k
+    return [rng.normal(size=(b, n, dim))] + [rng.normal(size=(dim, width)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_self_attention_gradients_match_finite_differences(rng, heads):
+    arrays = _attention_inputs(rng, heads)
+    err = op_grad_check(lambda t: T.self_attention(*t, heads), arrays)
+    assert err < 1e-4, f"heads={heads}: worst relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_self_attention_matches_composed_oracle(rng, heads):
+    arrays = _attention_inputs(rng, heads, n=7, dim=6, d_k=5)
+    weighting = Tensor(rng.normal(size=(2, 7, heads * 5)))
+    results = []
+    for attend in (T.self_attention, self_attention):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out, maps = attend(*inputs, heads, return_weights=True)
+        backward(T.tsum(T.mul(out, weighting)))
+        results.append([out.data, maps] + [t.grad for t in inputs])
+    for fused, composed in zip(*results):
+        np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+
+def test_self_attention_rejects_mismatched_shapes(rng):
+    x, w_q, w_k, w_v = (Tensor(a) for a in _attention_inputs(rng, heads=2))
+    with pytest.raises(ShapeError):
+        T.self_attention(x, w_q, w_k, Tensor(np.zeros((4, 5))), heads=2)
+    with pytest.raises(ShapeError):
+        T.self_attention(x, w_q, w_k, w_v, heads=4)   # width 6 does not split into 4
+    with pytest.raises(ShapeError):
+        T.self_attention(Tensor(np.zeros((5, 4))), w_q, w_k, w_v, heads=2)
 
 
 def test_attention_weights_row_stochastic(rng):
