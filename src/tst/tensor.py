@@ -341,9 +341,10 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False):
     each head attends with softmax(q k^T / sqrt(d_k)) v, and the heads'
     contexts come out side by side, (B, n, heads*d_k). The heads are
     strided views of one projection product, q is scaled in place and the
-    max-shifted softmax overwrites the scores, so the node keeps only x,
-    the scaled q, k, v and the (B, heads, n, n) probabilities; the pullback
-    writes the softmax, matmul and projection adjoints out by hand. With
+    max-shifted softmax overwrites the scores, so besides its output the
+    node keeps only x, the concatenated weights, the scaled q, k, v and the
+    (B, heads, n, n) probabilities; the pullback writes the softmax, matmul
+    and projection adjoints out by hand. With
     ``return_weights`` a copy of the probabilities comes back as well.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
