@@ -175,20 +175,36 @@ def cmd_study(args) -> int:
     return EXIT_OK
 
 
-def _cost_lines(rows: list[tuple[analysis.SweepRow, analysis.CostReport]]) -> list[str]:
+def _sweep_records() -> list[dict]:
+    """One record per reference-sweep row, keyed by the CSV columns; the
+    table and the CSV both print these values."""
+    records = []
+    for row, rep in analysis.sweep_results():
+        cfg = row.config()
+        records.append({
+            "label": row.label, "ns": cfg.ns, "sub_len": cfg.sub_len, "dim": cfg.dim,
+            "dim_mlp": cfg.dim_mlp, "d_k": cfg.d_k, "heads": cfg.heads, "depth": cfg.depth,
+            "pos_encoding": cfg.pos_encoding,
+            "flops_m": rep.flops_m, "flops_target_m": row.flops_target_m,
+            "params_m": rep.params_m, "params_target_m": row.params_target_m,
+            "params_full": rep.params_full, "macs_attention": rep.macs_attention,
+        })
+    return records
+
+
+def _cost_lines(records: list[dict]) -> list[str]:
     head = (f"{'label':<9}{'ns':>5}{'sub':>6}{'dim':>5}{'mlp':>5}{'d_k':>5}{'h':>3}"
             f"{'depth':>6}{'pos':>6}{'flops_M':>10}{'target':>9}{'d%':>7}"
             f"{'params_M':>10}{'target':>9}{'d%':>7}")
     out = [head]
-    for row, rep in rows:
-        cfg = row.config()
-        f_delta = 100.0 * (rep.flops_m - row.flops_target_m) / row.flops_target_m
-        p_delta = 100.0 * (rep.params_m - row.params_target_m) / row.params_target_m
+    for r in records:
+        f_delta = 100.0 * (r["flops_m"] - r["flops_target_m"]) / r["flops_target_m"]
+        p_delta = 100.0 * (r["params_m"] - r["params_target_m"]) / r["params_target_m"]
         out.append(
-            f"{row.label:<9}{cfg.ns:>5}{cfg.sub_len:>6}{cfg.dim:>5}{cfg.dim_mlp:>5}"
-            f"{cfg.d_k:>5}{cfg.heads:>3}{cfg.depth:>6}{cfg.pos_encoding:>6}"
-            f"{rep.flops_m:>10.2f}{row.flops_target_m:>9.2f}{f_delta:>+7.2f}"
-            f"{rep.params_m:>10.3f}{row.params_target_m:>9.2f}{p_delta:>+7.2f}"
+            f"{r['label']:<9}{r['ns']:>5}{r['sub_len']:>6}{r['dim']:>5}{r['dim_mlp']:>5}"
+            f"{r['d_k']:>5}{r['heads']:>3}{r['depth']:>6}{r['pos_encoding']:>6}"
+            f"{r['flops_m']:>10.2f}{r['flops_target_m']:>9.2f}{f_delta:>+7.2f}"
+            f"{r['params_m']:>10.3f}{r['params_target_m']:>9.2f}{p_delta:>+7.2f}"
         )
     return out
 
@@ -197,20 +213,14 @@ def cmd_cost(args) -> int:
     if args.sweep:
         if args.sweep != "table4":
             raise ConfigError(f"unknown sweep {args.sweep!r} (available: table4)")
-        rows = analysis.sweep_results()
-        print("\n".join(_cost_lines(rows)))
+        records = _sweep_records()
+        print("\n".join(_cost_lines(records)))
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("label,ns,sub_len,dim,dim_mlp,d_k,heads,depth,pos_encoding,"
-                         "flops_m,flops_target_m,params_m,params_target_m,"
-                         "params_full,macs_attention\n")
-                for row, rep in rows:
-                    cfg = row.config()
-                    fh.write(f"{row.label},{cfg.ns},{cfg.sub_len},{cfg.dim},{cfg.dim_mlp},"
-                             f"{cfg.d_k},{cfg.heads},{cfg.depth},{cfg.pos_encoding},"
-                             f"{rep.flops_m!r},{row.flops_target_m!r},"
-                             f"{rep.params_m!r},{row.params_target_m!r},"
-                             f"{rep.params_full},{rep.macs_attention}\n")
+                fh.write(",".join(records[0]) + "\n")
+                for r in records:   # floats in full (repr), the rest as printed
+                    fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                                      for v in r.values()) + "\n")
         return EXIT_OK
 
     cfg = resolve_config(args)

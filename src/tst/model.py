@@ -13,6 +13,8 @@ them through log-sum-exp.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -61,8 +63,9 @@ class TSTConfig:
             raise ConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.pos_encoding not in (POS_LEARNED_1D, POS_NONE):
             raise ConfigError(f"pos_encoding must be '1d' or 'none', got {self.pos_encoding!r}")
-        if self.lr <= 0 or self.lr_gamma <= 0:
-            raise ConfigError("lr and lr_gamma must be positive")
+        if not (0.0 < self.lr < math.inf and 0.0 < self.lr_gamma < math.inf):   # nan fails too
+            raise ConfigError(f"lr and lr_gamma must be positive and finite, got "
+                              f"{self.lr} and {self.lr_gamma}")
         return self
 
     def to_dict(self) -> dict:
@@ -205,11 +208,21 @@ def load_checkpoint(path, expected_config: TSTConfig | None = None) -> TSTModel:
         floats = struct.unpack("<" + "d" * len(_FLOAT_FIELDS),
                                _read_exact(fh, 8 * len(_FLOAT_FIELDS), "config"))
         pos_flag = struct.unpack("<B", _read_exact(fh, 1, "config"))[0]
+        if pos_flag > 1:   # save_checkpoint writes only 0 or 1
+            raise DataError(f"checkpoint position-encoding flag is {pos_flag}, not 0 or 1")
         cfg = TSTConfig(**dict(zip(_INT_FIELDS, ints)),
                         **dict(zip(_FLOAT_FIELDS, floats)),
                         pos_encoding=POS_LEARNED_1D if pos_flag else POS_NONE).validate()
         if expected_config is not None and cfg != expected_config:
             raise ConfigError(f"checkpoint config {cfg} does not match expected {expected_config}")
+        # the float32 values alone fill 4 bytes per parameter: check the file
+        # holds them before building a model of the size the header declares
+        from .analysis import cost_report   # analysis imports this module
+        needed = 4 * cost_report(cfg).params_full
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < needed:
+            raise DataError(f"truncated checkpoint: its config needs at least {needed} bytes "
+                            f"of parameters, {remaining} follow the header")
 
         model = TSTModel(cfg, seed=0)
         params = model.parameters()

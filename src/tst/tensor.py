@@ -2,15 +2,26 @@
 
 Every other module in the package composes the primitives defined here.
 A ``Tensor`` wraps a contiguous row-major numpy array. Operations compute
-their result eagerly and, when any input participates in gradients, store
-the parent tensors together with a pullback closure that maps the output
-adjoint to input adjoints. ``backward()`` on a scalar result builds a
-``Tape`` (the reverse-topological schedule of recorded ops) and replays
-the pullbacks, accumulating ``grad`` on every ``requires_grad`` leaf.
+their result eagerly and, when any input participates in gradients, give
+it a graph vertex, a ``_Node``: the parents' nodes and a pullback closure
+that maps the output adjoint to input adjoints. ``backward()`` on a scalar
+result builds a ``Tape`` (the reverse-topological schedule of recorded
+nodes) and replays the pullbacks, accumulating ``grad`` on every
+``requires_grad`` leaf.
+
+A node keeps only what its pullback reads. It holds no tensor, except
+that a ``requires_grad`` leaf's node holds the leaf that receives
+``grad``; each pullback binds the arrays, shapes and flags its formula
+uses (a matmul keeps its operands, an add only their shapes, ``gelu`` its
+derivative). So an intermediate value no pullback reads is freed as soon
+as the forward drops its tensor, not when backward reaches it.
+``Tensor._vjp`` reads and replaces the node's pullback; nothing in the
+package needs it, but the benchmark's span tracer wraps pullbacks through
+it.
 
 A graph can be backpropagated once. Backward releases it as it goes: each
 interior node drops its parents and its pullback (and with them every
-intermediate the pullback kept) right after use, so a second ``backward``
+array the pullback kept) right after use, so a second ``backward``
 through the same nodes raises ``ValueError``. Build the loss again to
 accumulate a second gradient.
 
@@ -58,8 +69,27 @@ class no_grad:
         return False
 
 
+class _Node:
+    """A vertex of the recorded graph.
+
+    ``_parents`` lines up with the pullback's outputs: one entry per op
+    input, ``None`` where no gradient flows. A leaf node has no pullback
+    and holds the ``requires_grad`` tensor its adjoint accumulates into.
+    """
+
+    __slots__ = ("_parents", "_vjp", "tensor")
+
+    def __init__(self, parents: tuple, vjp, tensor: Tensor | None = None):
+        self._parents = parents
+        self._vjp = vjp
+        self.tensor = tensor
+
+    def is_leaf(self) -> bool:
+        return self._vjp is None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -68,8 +98,15 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._node: _Node | None = None
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node._vjp = vjp
 
     @property
     def shape(self):
@@ -152,13 +189,28 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op over ``inputs`` records a graph node."""
+    return _grad_enabled() and any(t.requires_grad for t in inputs)
+
+
+def _grad_node(t: Tensor) -> _Node | None:
+    """The node adjoints reach ``t`` through: its op's node, a leaf node
+    made on first use for a ``requires_grad`` leaf, else None. A leaf and
+    its node refer to each other; leaves are mostly long-lived parameters."""
+    if t._node is None and t.requires_grad:
+        t._node = _Node((), None, t)
+    return t._node
+
+
 def _result(data, parents, vjp) -> Tensor:
-    """Wrap an op result, recording the graph edge only when needed."""
-    out = Tensor(data, requires_grad=_grad_enabled()
-                 and any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    """Wrap an op result, recording the graph node only when needed. ``vjp``
+    must bind arrays, shapes and flags, never a ``Tensor``: the node keeps
+    exactly what the closure holds."""
+    if not _records(*parents):
+        return Tensor(data)
+    out = Tensor(data, requires_grad=True)
+    out._node = _Node(tuple(_grad_node(p) for p in parents), vjp)
     return out
 
 
@@ -174,7 +226,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tape:
-    """Reverse-topological schedule of the ops reachable from a root tensor.
+    """Reverse-topological schedule of the nodes reachable from a root tensor.
 
     Construction walks the recorded graph once (iterative post-order DFS,
     shared subexpressions visited a single time); ``run_backward`` then
@@ -183,9 +235,11 @@ class Tape:
     """
 
     def __init__(self, root: Tensor):
-        order: list[Tensor] = []
+        self._root = _grad_node(root)
+        self._dtype = root.dtype
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[_Node, bool]] = [(self._root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -196,15 +250,14 @@ class Tape:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
         self._order = order  # parents before dependents
-        self._root = root
 
     def __len__(self):
         return len(self._order)
 
-    def nodes(self) -> list[Tensor]:
+    def nodes(self) -> list[_Node]:
         return list(self._order)
 
     def run_backward(self, seed: np.ndarray):
@@ -212,7 +265,7 @@ class Tape:
         goes: each interior node is popped, pulled back once, then cut from
         its parents and its pullback, so every intermediate the forward kept
         is freed as soon as backward no longer needs it."""
-        adjoints: dict[int, np.ndarray] = {id(self._root): np.asarray(seed, dtype=self._root.dtype)}
+        adjoints: dict[int, np.ndarray] = {id(self._root): np.asarray(seed, dtype=self._dtype)}
         order = self._order
         while order:
             node = order.pop()
@@ -220,13 +273,14 @@ class Tape:
             if node._vjp is None:
                 if g is not None:
                     # leaf: accumulate (repeated backward calls add up until zero_grad)
-                    node.grad = g.copy() if node.grad is None else node.grad + g
+                    leaf = node.tensor
+                    leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
                 continue
             parents = node._parents
             pgs = node._vjp(g) if g is not None else ()
             node._parents, node._vjp = (), _released
             for parent, pg in zip(parents, pgs):
-                if pg is None or not parent.requires_grad:
+                if pg is None or parent is None:
                     continue
                 acc = adjoints.get(id(parent))
                 adjoints[id(parent)] = pg if acc is None else acc + pg
@@ -252,11 +306,13 @@ def backward(loss: Tensor):
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g, a_shape) if a_grad else None,
+            _unbroadcast(g, b_shape) if b_grad else None,
         )
 
     return _result(data, (a, b), vjp)
@@ -270,11 +326,13 @@ def neg(a) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g, a_shape) if a_grad else None,
+            _unbroadcast(-g, b_shape) if b_grad else None,
         )
 
     return _result(data, (a, b), vjp)
@@ -284,11 +342,16 @@ def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; also covers scaling by a constant."""
     a, b = _pair(a, b)
     data = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each adjoint reads the other operand, so keep an operand only when
+    # its partner needs a gradient
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            _unbroadcast(g * b_data, a_shape) if b_data is not None else None,
+            _unbroadcast(g * a_data, b_shape) if a_data is not None else None,
         )
 
     return _result(data, (a, b), vjp)
@@ -306,13 +369,16 @@ def matmul(a, b) -> Tensor:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:  # batch extents not broadcastable
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} @ {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None   # as in mul: each adjoint reads the other
+    b_data = b.data if a.requires_grad else None
 
     def vjp(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
         return ga, gb
 
     return _result(data, (a, b), vjp)
@@ -368,6 +434,7 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False):
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=-1, keepdims=True)
     out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, n, width)
+    x_data, x_grad = x.data, x.requires_grad
 
     def vjp(g):
         g_ctx = g.reshape(b, n, heads, d_k).transpose(0, 2, 1, 3)
@@ -384,8 +451,8 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False):
         dq *= scale
         np.matmul(d_scores.swapaxes(-1, -2), q, out=dk)
         d_qkv = d_qkv.reshape(b * n, 3 * width)
-        gx = np.matmul(d_qkv, w.T).reshape(b, n, dim) if x.requires_grad else None
-        gw = np.matmul(x.data.reshape(b * n, dim).T, d_qkv)
+        gx = np.matmul(d_qkv, w.T).reshape(b, n, dim) if x_grad else None
+        gw = np.matmul(x_data.reshape(b * n, dim).T, d_qkv)
         return gx, gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:]
 
     result = _result(out, (x, w_q, w_k, w_v), vjp)
@@ -418,17 +485,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
+    gain_data = gain.data
+    x_grad, gain_grad, bias_grad = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def vjp(g):
         gx = ggain = gbias = None
-        if x.requires_grad:
-            gh = g * gain.data
+        if x_grad:
+            gh = g * gain_data
             gx = (gh - gh.mean(axis=-1, keepdims=True)
                   - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) * inv
         lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
+        if gain_grad:
             ggain = (g * xhat).sum(axis=lead)
-        if bias.requires_grad:
+        if bias_grad:
             gbias = g.sum(axis=lead)
         return gx, ggain, gbias
 
@@ -436,16 +505,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Gaussian error linear unit x * Phi(x), exact erf form."""
+    """Gaussian error linear unit x * Phi(x), exact erf form.
+
+    A recorded node keeps one array, the derivative Phi(x) + x * pdf(x),
+    rather than x and Phi(x); without a node no derivative is computed.
+    """
     x = as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = x.data * phi
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (phi + x.data * pdf),)
-
-    return _result(out, (x,), vjp)
+    if not _records(x):
+        return Tensor(out)
+    # phi + x * pdf(x), in one buffer; each step rounds as the plain
+    # expression phi + x * (exp(-0.5 * x * x) * (1/sqrt(2 pi))) does
+    deriv = x.data * -0.5
+    deriv *= x.data
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT2PI
+    deriv *= x.data
+    deriv += phi
+    return _result(out, (x,), lambda g: (g * deriv,))
 
 
 def dropout(x, p_drop: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -475,10 +553,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    grads = [t.requires_grad for t in tensors]
 
     def vjp(g):
         parts = np.split(g, splits, axis=axis)
-        return tuple(p if t.requires_grad else None for t, p in zip(tensors, parts))
+        return tuple(p if needed else None for needed, p in zip(grads, parts))
 
     return _result(data, tuple(tensors), vjp)
 
@@ -486,7 +565,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     data = x.data.reshape(shape)
-    return _result(data, (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    return _result(data, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x, axes) -> Tensor:
@@ -499,9 +579,10 @@ def tslice(x, key) -> Tensor:
     """Basic (view-style) slicing; the adjoint scatters back into zeros."""
     x = as_tensor(x)
     data = x.data[key]
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape, dtype=x_dtype)
         gx[key] = g
         return (gx,)
 
@@ -511,18 +592,20 @@ def tslice(x, key) -> Tensor:
 def broadcast_to(x, shape) -> Tensor:
     x = as_tensor(x)
     data = np.broadcast_to(x.data, shape)
-    return _result(data, (x,), lambda g: (_unbroadcast(g, x.shape),))
+    x_shape = x.shape
+    return _result(data, (x,), lambda g: (_unbroadcast(g, x_shape),))
 
 
 def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
     data = x.data.mean(axis=axis)
     count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+    x_shape = x.shape
 
     def vjp(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape) / count,)
+        return (np.broadcast_to(g, x_shape) / count,)
 
     return _result(data, (x,), vjp)
 
@@ -530,18 +613,20 @@ def mean(x, axis=None) -> Tensor:
 def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     data = x.data.sum(axis=axis)
+    x_shape = x.shape
 
     def vjp(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     return _result(data, (x,), vjp)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    return _result(np.log(x.data), (x,), lambda g: (g / x.data,))
+    x_data = x.data
+    return _result(np.log(x_data), (x,), lambda g: (g / x_data,))
 
 
 def gather_rows(x, index) -> Tensor:
@@ -552,9 +637,10 @@ def gather_rows(x, index) -> Tensor:
         raise ShapeError(f"gather_rows needs (N, C) and (N,), got {x.shape} and {idx.shape}")
     rows = np.arange(x.shape[0])
     data = x.data[rows, idx]
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape, dtype=x_dtype)
         gx[rows, idx] = g
         return (gx,)
 

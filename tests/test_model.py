@@ -1,16 +1,19 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cross_entropy
 from tst import model as tstmodel
 from tst.errors import ConfigError, DataError
 from tst.model import (TSTConfig, TSTModel, cross_entropy_from_logits, load_checkpoint,
                        save_checkpoint)
-from tst.tensor import Tensor, backward, log_softmax
+from tst.tensor import Tape, Tensor, backward, log_softmax
 from tst.training import AdamState, adam_step
 
 TINY = dict(L=32, ns=4, dim=8, dim_mlp=16, d_k=4, heads=2, depth=1, n_class=10,
@@ -41,6 +44,11 @@ def test_config_validation_rejects_bad_combos():
         TSTConfig.from_dict({"dim": 32, "bogus": 1})
     with pytest.raises(ConfigError):
         TSTConfig(L=0, ns=1).validate()
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            TSTConfig(lr=bad).validate()
+        with pytest.raises(ConfigError, match="finite"):
+            TSTConfig(lr_gamma=bad).validate()
 
 
 def test_config_int_fields_must_fit_u32():
@@ -77,6 +85,32 @@ def test_zero_head_gives_uniform_probs(rng):
     assert abs(cross_entropy_from_logits(res.logits, [1, 5, 9]).item() - math.log(10)) < 1e-6
     # uniform probs tie-break to class 0
     np.testing.assert_array_equal(model.predict(rng.normal(size=(3, 32))), 0)
+
+
+def _bound_values(fn):
+    """Everything a function's closure binds, through nested helpers and
+    tuples or lists."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        yield value
+        if isinstance(value, (tuple, list)):
+            yield from value
+        elif hasattr(value, "__closure__"):
+            yield from _bound_values(value)
+
+
+def test_training_forward_pullbacks_hold_no_tensor(rng):
+    model = tiny_model(p_drop=0.1, depth=2)
+    x = rng.normal(size=(3, model.config.L))
+    result = model.forward(x, training=True, rng=np.random.default_rng(0))
+    loss = cross_entropy_from_logits(result.logits, [1, 2, 3])
+    nodes = Tape(loss).nodes()
+    pullbacks = [node._vjp for node in nodes if not node.is_leaf()]
+    assert len(pullbacks) > 30
+    assert not any(isinstance(v, Tensor) for fn in pullbacks for v in _bound_values(fn))
+    # the leaves are exactly the parameters, each once
+    leaves = [node.tensor for node in nodes if node.is_leaf()]
+    assert sorted(map(id, leaves)) == sorted(id(p) for _, p in model.parameters())
 
 
 def test_predict_matches_forward(rng):
@@ -224,6 +258,18 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path):
         load_checkpoint(tmp_path / "junk.tst")
 
 
+def test_checkpoint_position_flag_must_be_0_or_1(tmp_path):
+    path = tmp_path / "model.tst"
+    save_checkpoint(tiny_model(seed=1), path)
+    blob = bytearray(path.read_bytes())
+    flag = 4 + 4 * len(tstmodel._INT_FIELDS) + 8 * len(tstmodel._FLOAT_FIELDS)
+    assert blob[flag] == 1
+    blob[flag] = 3
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match="flag is 3"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_corrupt_rank_rejected_before_reading_dims(tmp_path):
     path = tmp_path / "model.tst"
     save_checkpoint(tiny_model(seed=1), path)
@@ -236,3 +282,76 @@ def test_checkpoint_corrupt_rank_rejected_before_reading_dims(tmp_path):
     (tmp_path / "rank.tst").write_bytes(bytes(blob))
     with pytest.raises(DataError, match="rank 4294967295, expected 2"):
         load_checkpoint(tmp_path / "rank.tst")
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    """A directory, the bytes of a tiny model's checkpoint in it, and the model."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    model = tiny_model(seed=2)
+    save_checkpoint(model, folder / "model.tst")
+    return folder, (folder / "model.tst").read_bytes(), model
+
+
+def _load_bounded(path, size: int):
+    """load_checkpoint, asserting it never holds more than a few times the
+    file's size; returns the model or the exception it raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = load_checkpoint(path)
+        except Exception as exc:   # the caller checks the type
+            result = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size + (1 << 20)
+    return result
+
+
+def test_header_only_checkpoint_fails_before_building_the_model(tmp_path):
+    cfg = TSTConfig(depth=300)   # declares a ~316 MB model
+    path = tmp_path / "hostile.tst"
+    path.write_bytes(tstmodel.CHECKPOINT_MAGIC
+                     + struct.pack("<" + "I" * len(tstmodel._INT_FIELDS),
+                                   *[getattr(cfg, n) for n in tstmodel._INT_FIELDS])
+                     + struct.pack("<" + "d" * len(tstmodel._FLOAT_FIELDS),
+                                   *[getattr(cfg, n) for n in tstmodel._FLOAT_FIELDS])
+                     + struct.pack("<B", 1))
+    assert path.stat().st_size == 73
+    error = _load_bounded(path, 73)
+    assert isinstance(error, DataError) and "truncated" in str(error)
+
+
+_FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_truncated_checkpoint_raises_data_error(saved_tiny, data):
+    folder, blob, _ = saved_tiny
+    cut = data.draw(st.integers(0, len(blob) - 1), label="kept bytes")
+    (folder / "cut.tst").write_bytes(blob[:cut])
+    assert isinstance(_load_bounded(folder / "cut.tst", len(blob)), DataError)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_flipped_checkpoint_byte_fails_typed_or_loads_what_it_says(saved_tiny, data):
+    folder, blob, saved = saved_tiny
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="xor mask")
+    flipped = bytearray(blob)
+    flipped[at] ^= mask
+    (folder / "flipped.tst").write_bytes(flipped)
+    loaded = _load_bounded(folder / "flipped.tst", len(blob))
+    if isinstance(loaded, Exception):
+        assert isinstance(loaded, (DataError, ConfigError)), repr(loaded)
+        return
+    # it loaded, so the file was a valid checkpoint: saving the model gives
+    # its bytes back, and at most the one parameter the flip hit changed
+    save_checkpoint(loaded, folder / "again.tst")
+    assert (folder / "again.tst").read_bytes() == flipped
+    changed = [not np.array_equal(a.data, b.data, equal_nan=True)
+               for (_, a), (_, b) in zip(saved.parameters(), loaded.parameters())]
+    assert sum(changed) <= 1

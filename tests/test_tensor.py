@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -168,12 +169,31 @@ def test_tape_visits_each_node_once_in_topo_order(rng):
     c = T.tsum(T.matmul(b, a))
     tape = Tape(c)
     nodes = tape.nodes()
-    assert len(nodes) == len({id(n) for n in nodes})
+    assert len(nodes) == len({id(n) for n in nodes}) == 5   # x, a, b, matmul, tsum
     pos = {id(n): i for i, n in enumerate(nodes)}
     for n in nodes:
         for p in n._parents:
-            if p.requires_grad:
+            if p is not None:
                 assert pos[id(p)] < pos[id(n)]
+    assert [n.tensor for n in nodes if n.is_leaf()] == [x]
+
+
+@pytest.mark.parametrize("consumer,reads_input", [
+    (lambda h, w: T.add(h, w[0]), False),   # add keeps only shapes
+    (lambda h, w: T.gelu(h), False),        # gelu keeps its derivative, not its input
+    (lambda h, w: T.matmul(h, w), True),    # the w adjoint reads h
+], ids=["add", "gelu", "matmul"])
+def test_value_is_kept_only_while_a_pullback_reads_it(consumer, reads_input, rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    hidden = T.matmul(x, w)
+    value = weakref.ref(hidden.data)
+    loss = T.tsum(consumer(hidden, w))
+    del hidden
+    assert (value() is not None) == reads_input
+    backward(loss)
+    assert value() is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 def test_finite_outputs_on_finite_inputs(rng):
