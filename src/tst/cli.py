@@ -69,7 +69,11 @@ def resolve_config(args: argparse.Namespace) -> TSTConfig:
     """Config file (if any) over defaults, then explicit flag overrides."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = TSTConfig.from_dict(json.load(fh))
+            try:
+                values = json.load(fh)
+            except ValueError as exc:   # malformed JSON or text that is not UTF-8
+                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from None
+        cfg = TSTConfig.from_dict(values)
     else:
         cfg = TSTConfig()
     overrides = {

@@ -98,10 +98,12 @@ def load_csv(path, length: int | None = None,
     windows: list[LabeledWindow] = []
     expected = length
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # bytes that are not UTF-8 decode to lone surrogates, which no label
+        # or sample parses, so such a row fails naming its line
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
-    with fh:
+    with fh, np.errstate(over="ignore"):   # beyond float32 becomes inf, rejected below
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -125,6 +127,8 @@ def load_csv(path, length: int | None = None,
                 samples = np.array([float(v) for v in values], dtype=np.float32)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric sample value") from None
+            if not np.isfinite(samples).all():
+                raise DataError(f"{path}:{lineno}: non-finite sample value")
             windows.append(LabeledWindow(samples=samples, label=label,
                                          source_id=f"{path}:{lineno}"))
     if not windows:

@@ -13,9 +13,10 @@ them through log-sum-exp.
 
 from __future__ import annotations
 
-import math
+import numbers
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -53,8 +54,16 @@ class TSTConfig:
         return self.L // self.ns
 
     def validate(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.pos_encoding, str):
+            raise ConfigError(f"pos_encoding must be a string, got {self.pos_encoding!r}")
         for name in _INT_FIELDS:
             value, low = getattr(self, name), 0 if name == "epochs" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
             if not low <= value < 2**32:   # stored as a u32 in checkpoints
                 raise ConfigError(f"{name} must be in [{low}, 2**32), got {value}")
         if self.L % self.ns != 0:
@@ -63,7 +72,8 @@ class TSTConfig:
             raise ConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.pos_encoding not in (POS_LEARNED_1D, POS_NONE):
             raise ConfigError(f"pos_encoding must be '1d' or 'none', got {self.pos_encoding!r}")
-        if not (0.0 < self.lr < math.inf and 0.0 < self.lr_gamma < math.inf):   # nan fails too
+        top = sys.float_info.max   # nan fails, and so does an int beyond any f64
+        if not (0.0 < self.lr <= top and 0.0 < self.lr_gamma <= top):
             raise ConfigError(f"lr and lr_gamma must be positive and finite, got "
                               f"{self.lr} and {self.lr_gamma}")
         return self
@@ -73,6 +83,9 @@ class TSTConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TSTConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object of field values, got "
+                              f"{type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:

@@ -400,23 +400,30 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _result(s, (x,), vjp)
 
 
-def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False):
+def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
+                   queries: int | None = None):
     """Multi-head scaled dot-product self-attention as one recorded op.
 
     ``x`` (B, n, dim) is projected by the three (dim, heads*d_k) matrices,
     each head attends with softmax(q k^T / sqrt(d_k)) v, and the heads'
-    contexts come out side by side, (B, n, heads*d_k). The heads are
-    strided views of one projection product, q is scaled in place and the
-    max-shifted softmax overwrites the scores, so besides its output the
-    node keeps only x, the concatenated weights, the scaled q, k, v and the
-    (B, heads, n, n) probabilities; the pullback writes the softmax, matmul
-    and projection adjoints out by hand. With
-    ``return_weights`` a copy of the probabilities comes back as well.
+    contexts come out side by side, (B, m, heads*d_k). Keys and values come
+    from all n rows; queries only from the leading m = ``queries`` rows (all
+    of them by default), so the output has one row per query. The heads are
+    strided views of the projection products (one GEMM when every row
+    queries), q is scaled in place and the max-shifted softmax overwrites
+    the scores, so besides its output the node keeps only x, the
+    concatenated weights, the scaled q, k, v and the (B, heads, m, n)
+    probabilities; the pullback writes the softmax, matmul and projection
+    adjoints out by hand, with a zero query adjoint for the rows past m.
+    With ``return_weights`` a copy of the probabilities comes back as well.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
         raise ShapeError(f"self_attention needs a (B, n, dim) input, got {x.shape}")
     b, n, dim = x.shape
+    m = n if queries is None else queries
+    if not 1 <= m <= n:
+        raise ShapeError(f"self_attention queries must be in [1, {n}], got {queries}")
     width = w_q.shape[-1]
     if any(w.shape != (dim, width) for w in (w_q, w_k, w_v)):
         raise ShapeError(f"projections {w_q.shape}/{w_k.shape}/{w_v.shape} do not all map "
@@ -425,28 +432,37 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False):
         raise ShapeError(f"projection width {width} does not split into {heads} heads")
     d_k = width // heads
     w = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)    # (dim, 3*width)
-    qkv = np.matmul(x.data.reshape(b * n, dim), w)
-    q, k, v = qkv.reshape(b, n, 3, heads, d_k).transpose(2, 0, 3, 1, 4)   # (B, heads, n, d_k)
-    scale = qkv.dtype.type(1.0 / math.sqrt(d_k))
+    x_rows = x.data.reshape(b * n, dim)
+    if m == n:
+        qkv = np.matmul(x_rows, w)
+        q, k, v = qkv.reshape(b, n, 3, heads, d_k).transpose(2, 0, 3, 1, 4)   # (B, heads, n, d_k)
+    else:
+        kv = np.matmul(x_rows, w[:, width:])
+        k, v = kv.reshape(b, n, 2, heads, d_k).transpose(2, 0, 3, 1, 4)
+        q = np.matmul(x.data[:, :m].reshape(b * m, dim), w[:, :width])
+        q = q.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
+    scale = q.dtype.type(1.0 / math.sqrt(d_k))
     q *= scale                     # scale q rather than the much larger scores
     probs = np.matmul(q, k.swapaxes(-1, -2))
     probs -= np.max(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=-1, keepdims=True)
-    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, n, width)
+    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, m, width)
     x_data, x_grad = x.data, x.requires_grad
 
     def vjp(g):
-        g_ctx = g.reshape(b, n, heads, d_k).transpose(0, 2, 1, 3)
+        g_ctx = g.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
         d_qkv = np.empty((b, n, 3, heads, d_k), dtype=g.dtype)
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
         np.matmul(probs.swapaxes(-1, -2), g_ctx, out=dv)
         d_scores = np.matmul(g_ctx, v.swapaxes(-1, -2))    # d probs, then in place d scores
         # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
-        # sum equals rowsum(g_ctx * ctx) per head, an (n, d_k) product
-        inner = np.sum((g * out).reshape(b, n, heads, d_k), axis=-1)
+        # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
+        inner = np.sum((g * out).reshape(b, m, heads, d_k), axis=-1)
         d_scores -= inner.transpose(0, 2, 1)[..., None]
         d_scores *= probs
+        dq[:, :, m:] = 0.0         # rows past m asked no query
+        dq = dq[:, :, :m]
         np.matmul(d_scores, k, out=dq)
         dq *= scale
         np.matmul(d_scores.swapaxes(-1, -2), q, out=dk)

@@ -7,7 +7,12 @@ Each block computes
 
 with the normalization inside the residual branch. The stack output is the
 LayerNorm of the class-token slot of the last block; the per-block class
-tokens are copied out, detached, for embedding-space inspection.
+tokens are copied out, detached, for embedding-space inspection. Since
+nothing reads the last block's other rows, that block runs ``class_only``:
+slot 0 is its one query over the keys and values of every row, and the
+residual, MLP and dropouts cover that row alone. The stack computes the
+same function; only that block's layer norm and key/value projections
+still run over all n rows.
 
 Projections carry no bias terms; the MLP does. Attention heads are stored
 fused: w_q/w_k/w_v are (dim, heads*d_k) and w_o maps (heads*d_k) back to
@@ -17,7 +22,8 @@ The attention itself is one op, ``tensor.self_attention``: the three
 projections, the per-head scaled dot products, the softmax and the head
 merge run as a single node whose hand-written pullback keeps only the
 block input, q, k, v and the attention probabilities, not the scores or
-any per-head transpose copy. Only ``w_o`` is a separate matmul.
+any per-head transpose copy; in the class-only block those probabilities
+are (B, heads, 1, n). Only ``w_o`` is a separate matmul.
 """
 
 from __future__ import annotations
@@ -88,13 +94,17 @@ class TransformerStack:
         )
 
 
-def multi_head(x: Tensor, params: BlockParams, return_weights: bool = False):
+def multi_head(x: Tensor, params: BlockParams, return_weights: bool = False, *,
+               class_only: bool = False):
     """Self-attention: the fused ``T.self_attention`` op, then ``w_o``.
 
     (B, n, dim) -> (B, n, dim); optionally also returns the (B, heads, n, n)
-    attention maps as a detached array.
+    attention maps as a detached array. With ``class_only`` only slot 0
+    queries, still over keys and values from every row: (B, 1, dim) out,
+    (B, heads, 1, n) maps.
     """
-    ctx = T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads, return_weights)
+    ctx = T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads, return_weights,
+                           queries=1 if class_only else None)
     if return_weights:
         ctx, weights = ctx
         return T.matmul(ctx, params.w_o), weights
@@ -108,9 +118,18 @@ def block_forward(
     training: bool = False,
     p_drop: float = 0.0,
     rng: np.random.Generator | None = None,
+    class_only: bool = False,
 ) -> Tensor:
-    """One pre-norm residual block; shape (B, n, dim) preserved."""
-    attn = multi_head(T.layer_norm(x, params.ln1_gain, params.ln1_bias), params)
+    """One pre-norm residual block; shape (B, n, dim) preserved.
+
+    With ``class_only`` the block computes only the class-token row: slot 0
+    attends over every row of its input, and the residual, MLP and both
+    dropouts run on that row alone, so the result is (B, 1, dim).
+    """
+    attn = multi_head(T.layer_norm(x, params.ln1_gain, params.ln1_bias), params,
+                      class_only=class_only)
+    if class_only:
+        x = x[:, :1, :]
     x = T.add(x, T.dropout(attn, p_drop, training, rng))
 
     h = T.layer_norm(x, params.ln2_gain, params.ln2_bias)
@@ -129,13 +148,18 @@ def stack_forward(
 ) -> tuple[Tensor, list[Tensor]]:
     """Run every block, then LayerNorm the class-token slot.
 
+    Nothing downstream reads any other row of the last block's output, so
+    that block runs ``class_only``; the others keep every row.
+
     Returns (feature (B, dim), per-block class tokens [(B, dim)] * depth).
     The class tokens are detached leaves: no gradient flows through them.
     """
     y = tokens
     class_tokens = []
-    for block in stack.blocks:
-        y = block_forward(y, block, training=training, p_drop=p_drop, rng=rng)
+    last = len(stack.blocks) - 1
+    for i, block in enumerate(stack.blocks):
+        y = block_forward(y, block, training=training, p_drop=p_drop, rng=rng,
+                          class_only=i == last)
         class_tokens.append(Tensor(y.data[:, 0, :]))
     feature = T.layer_norm(y[:, 0, :], stack.final_gain, stack.final_bias)
     return feature, class_tokens

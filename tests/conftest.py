@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tst import tensor as T
 from tst.gradcheck import max_rel_error, numerical_grads
@@ -24,6 +27,26 @@ def op_grad_check(build, arrays, h=1e-4, seed=99):
     analytic = [p.grad for p in inputs]
     numeric = numerical_grads(scalar, arrays, h=h)
     return max_rel_error(analytic, numeric)
+
+
+# property tests: derandomized, so every run draws the same examples
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def call_bounded(fn, limit: int):
+    """fn(), asserting the ``tracemalloc`` peak stays below ``limit`` bytes;
+    returns its result or the exception it raised, for the caller to check."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except Exception as exc:
+            result = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"peak {peak} bytes, bound {limit}"
+    return result
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from tst import tensor as T
+from tst import transformer as tf
 
 
 def cross_entropy(probs, labels):
@@ -31,20 +32,35 @@ def scaled_dot_product_attention(q, k, v, return_weights=False):
     return (out, weights.numpy()) if return_weights else out
 
 
-def self_attention(x, w_q, w_k, w_v, heads, return_weights=False):
+def self_attention(x, w_q, w_k, w_v, heads, return_weights=False, queries=None):
     """``tensor.self_attention`` composed from primitives: per-projection
-    matmuls, heads split by reshape and transpose, the composed attention
-    above, and the heads merged back."""
+    matmuls (queries from the leading ``queries`` rows, all by default),
+    heads split by reshape and transpose, the composed attention above, and
+    the heads merged back."""
     x = T.as_tensor(x)
     b, n, _ = x.shape
+    m = n if queries is None else queries
     width = w_q.shape[-1]
 
-    def split_heads(w):   # (B, heads, n, d_k)
-        t = T.reshape(T.matmul(x, w), (b, n, heads, width // heads))
+    def split_heads(rows, w):   # (B, heads, rows, d_k)
+        t = T.reshape(T.matmul(rows, w), (b, rows.shape[1], heads, width // heads))
         return T.transpose(t, (0, 2, 1, 3))
 
-    attended = scaled_dot_product_attention(split_heads(w_q), split_heads(w_k),
-                                            split_heads(w_v), return_weights)
+    attended = scaled_dot_product_attention(split_heads(x[:, :m, :], w_q), split_heads(x, w_k),
+                                            split_heads(x, w_v), return_weights)
     ctx, weights = attended if return_weights else (attended, None)
-    out = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, width))
+    out = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, m, width))
     return (out, weights) if return_weights else out
+
+
+def stack_forward(tokens, stack, *, training=False, p_drop=0.0, rng=None):
+    """``transformer.stack_forward`` with every block over every row, as
+    before the last block learned to compute only the class row: the
+    function that class-only block must still compute."""
+    y = tokens
+    class_tokens = []
+    for block in stack.blocks:
+        y = tf.block_forward(y, block, training=training, p_drop=p_drop, rng=rng)
+        class_tokens.append(T.Tensor(y.data[:, 0, :]))
+    feature = T.layer_norm(y[:, 0, :], stack.final_gain, stack.final_bias)
+    return feature, class_tokens

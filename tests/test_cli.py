@@ -104,6 +104,34 @@ def test_config_file_roundtrip(small_dataset, tmp_path):
                 "--out-dir", str(out)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text", [
+    '{"dim": "32"}', '{"p_drop": null}', '{"dim": 32.5}', '{"epochs": true}',
+    '{"dim": 32, "depth"', '[1, 2]',
+], ids=["string_int", "null_float", "fractional_int", "bool_int", "truncated", "not_object"])
+def test_malformed_config_file_is_one_line_config_error(small_dataset, tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code = run(["train", "--data", str(small_dataset), "--config", str(cfg_path),
+                "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "1e39"])
+def test_non_finite_csv_sample_is_one_line_data_error(tmp_path, capsys, value):
+    rows = [f"{i % 10}," + ",".join(["0.5"] * 64) for i in range(20)]
+    rows[6] = rows[6].rsplit(",", 1)[0] + "," + value
+    path = tmp_path / "set.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = run(["train", "--data", str(path), "--out-dir", str(tmp_path / "run")]
+               + SMALL_MODEL)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err == f"data error: {path}:7: non-finite sample value\n"
+
+
 def test_study_degenerate_and_aggregates(small_dataset, tmp_path):
     out = tmp_path / "study"
     assert run(["study", "--data", str(small_dataset), "--trials", "2",

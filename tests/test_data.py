@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import FUZZ, call_bounded
 from tst import data
 from tst.errors import ConfigError, DataError
 
@@ -143,6 +147,70 @@ def test_csv_expected_length_enforced(tmp_path):
     p.write_text("0," + ",".join(["0.0"] * 2047) + "\n")
     with pytest.raises(DataError, match="2047.*2048"):
         data.load_csv(p, length=2048)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e39"])
+def test_csv_non_finite_sample_names_the_line(tmp_path, value):
+    p = tmp_path / "big.csv"
+    p.write_text("1,0.5,0.25\n2,0.5," + value + "\n")
+    with pytest.raises(DataError, match=r"big\.csv:2: non-finite sample value"):
+        data.load_csv(p)   # and no RuntimeWarning, which the suite makes an error
+
+
+def test_csv_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes("# caf\xe9\n1,0.5,0.25\n2,0.5,0.2\xb5\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin\.csv:3: non-numeric"):
+        data.load_csv(p)
+
+
+_CSV_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str), st.floats(width=32).map(repr), st.floats().map(repr),
+    st.sampled_from(["", " ", "#", "inf", "-nan", "1e39", "3.4028236e38", "1_0", "0x10"]),
+    st.text(max_size=4))
+_CSV_LINES = st.one_of(st.lists(_CSV_TOKENS, max_size=6).map(",".join).map(str.encode),
+                       st.binary(max_size=12))
+
+
+@FUZZ
+@pytest.mark.filterwarnings("ignore:.*holds no data rows:UserWarning")
+@given(lines=st.lists(_CSV_LINES, max_size=6), length=st.sampled_from([None, 2, 3]))
+def test_csv_from_any_bytes_loads_checked_windows_or_data_error(tmp_path_factory, lines,
+                                                                length):
+    path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+    blob = b"\n".join(lines)
+    path.write_bytes(blob)
+    loaded = call_bounded(lambda: data.load_csv(path, length=length, n_class=10),
+                          64 * len(blob) + (1 << 20))
+    if isinstance(loaded, Exception):
+        assert isinstance(loaded, DataError), repr(loaded)
+        return
+    for w in loaded:
+        assert 0 <= w.label < 10 and w.samples.dtype == np.float32
+        assert np.isfinite(w.samples).all()
+        assert w.samples.shape == loaded[0].samples.shape
+        assert length is None or w.samples.shape == (length,)
+
+
+@st.composite
+def labeled_windows(draw):
+    length = draw(st.integers(1, 8))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    return [data.LabeledWindow(samples=draw(arrays(np.float32, length, elements=finite)),
+                               label=draw(st.integers(0, 2**40)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@FUZZ
+@given(windows=labeled_windows())
+def test_csv_write_then_load_round_trips_exactly(tmp_path_factory, windows):
+    path = tmp_path_factory.mktemp("csv") / "round.csv"
+    data.write_csv(windows, path, comment="fuzz")
+    back = data.load_csv(path)
+    assert [w.label for w in back] == [w.label for w in windows]
+    for a, b in zip(windows, back):
+        assert b.samples.dtype == np.float32
+        assert b.samples.tobytes() == a.samples.tobytes()   # -0.0 and subnormals too
 
 
 # ---------------------------------------------------------------------------

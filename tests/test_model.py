@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
+import json
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FUZZ, call_bounded
 from oracles import cross_entropy
 from tst import model as tstmodel
 from tst.errors import ConfigError, DataError
@@ -59,6 +61,21 @@ def test_config_int_fields_must_fit_u32():
     for name in tstmodel._INT_FIELDS:
         with pytest.raises(ConfigError, match=name):
             TSTConfig(**{name: 2**32}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", "32"), ("dim", 32.5), ("epochs", True), ("batch_size", None),
+    ("p_drop", None), ("lr", "1e-3"), ("lr_gamma", False), ("pos_encoding", 1),
+    pytest.param("lr", 10**400, id="lr-int_beyond_f64"),
+])
+def test_config_fields_must_have_their_types(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TSTConfig(**{field: value}).validate()
+
+
+def test_config_accepts_numeric_kin():
+    """An int where a float is declared is a number; numpy scalars are too."""
+    TSTConfig(p_drop=0, lr=1, lr_gamma=np.float64(0.5), dim=np.int64(64)).validate()
 
 
 def test_save_checkpoint_rejects_field_beyond_u32(tmp_path):
@@ -296,17 +313,7 @@ def saved_tiny(tmp_path_factory):
 def _load_bounded(path, size: int):
     """load_checkpoint, asserting it never holds more than a few times the
     file's size; returns the model or the exception it raised."""
-    tracemalloc.start()
-    try:
-        try:
-            result = load_checkpoint(path)
-        except Exception as exc:   # the caller checks the type
-            result = exc
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * size + (1 << 20)
-    return result
+    return call_bounded(lambda: load_checkpoint(path), 8 * size + (1 << 20))
 
 
 def test_header_only_checkpoint_fails_before_building_the_model(tmp_path):
@@ -323,10 +330,7 @@ def test_header_only_checkpoint_fails_before_building_the_model(tmp_path):
     assert isinstance(error, DataError) and "truncated" in str(error)
 
 
-_FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
-
-
-@_FUZZ
+@FUZZ
 @given(data=st.data())
 def test_truncated_checkpoint_raises_data_error(saved_tiny, data):
     folder, blob, _ = saved_tiny
@@ -335,7 +339,7 @@ def test_truncated_checkpoint_raises_data_error(saved_tiny, data):
     assert isinstance(_load_bounded(folder / "cut.tst", len(blob)), DataError)
 
 
-@_FUZZ
+@FUZZ
 @given(data=st.data())
 def test_flipped_checkpoint_byte_fails_typed_or_loads_what_it_says(saved_tiny, data):
     folder, blob, saved = saved_tiny
@@ -355,3 +359,47 @@ def test_flipped_checkpoint_byte_fails_typed_or_loads_what_it_says(saved_tiny, d
     changed = [not np.array_equal(a.data, b.data, equal_nan=True)
                for (_, a), (_, b) in zip(saved.parameters(), loaded.parameters())]
     assert sum(changed) <= 1
+
+
+_CONFIG_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                           st.text(max_size=6), st.lists(st.integers(), max_size=2),
+                           st.sampled_from(["1d", "none"]))
+_CONFIG_KEYS = st.one_of(st.sampled_from([f.name for f in dataclasses.fields(TSTConfig)]),
+                         st.text(max_size=6))
+
+
+@FUZZ
+@given(raw=st.one_of(st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=6),
+                     _CONFIG_VALUES))
+def test_config_from_any_json_value_is_valid_or_config_error(raw):
+    loaded = call_bounded(lambda: TSTConfig.from_dict(raw), 1 << 20)
+    if isinstance(loaded, Exception):
+        assert isinstance(loaded, ConfigError), repr(loaded)
+    else:
+        assert TSTConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
+
+
+def _u32(low=1):
+    return st.integers(low, 2**32 - 1)
+
+
+@st.composite
+def valid_configs(draw):
+    ns = draw(st.integers(1, 2**16))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return TSTConfig(
+        L=ns * draw(st.integers(1, 2**15)), ns=ns, dim=draw(_u32()), dim_mlp=draw(_u32()),
+        d_k=draw(_u32()), heads=draw(_u32()), depth=draw(_u32()),
+        p_drop=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        pos_encoding=draw(st.sampled_from(["1d", "none"])), n_class=draw(_u32()),
+        lr=draw(positive), lr_step=draw(_u32()), lr_gamma=draw(positive),
+        batch_size=draw(_u32()), epochs=draw(_u32(low=0)))
+
+
+@FUZZ
+@given(cfg=valid_configs())
+def test_valid_config_round_trips_through_json(cfg):
+    text = json.dumps(cfg.validate().to_dict())
+    back = TSTConfig.from_dict(json.loads(text))
+    assert back == cfg
+    assert json.dumps(back.to_dict()) == text

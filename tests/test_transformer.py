@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import op_grad_check
+import oracles
 from oracles import scaled_dot_product_attention, self_attention
 from tst import tensor as T
 from tst import tokenizer as tok
 from tst import transformer as tf
 from tst.errors import ShapeError
-from tst.model import TSTConfig
-from tst.tensor import Tensor, backward
+from tst import model as tstmodel
+from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
+from tst.tensor import Tape, Tensor, backward
 from tst.gradcheck import numerical_grads, max_rel_error
 
 
@@ -95,21 +97,24 @@ def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3):
     return [rng.normal(size=(b, n, dim))] + [rng.normal(size=(dim, width)) for _ in range(3)]
 
 
-@pytest.mark.parametrize("heads", [1, 2, 3])
-def test_self_attention_gradients_match_finite_differences(rng, heads):
+# queries=None: every row queries; "query1": only slot 0 does, as in the last block
+@pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (3, None), (2, 1)],
+                         ids=["1", "2", "3", "2-query1"])
+def test_self_attention_gradients_match_finite_differences(rng, heads, queries):
     arrays = _attention_inputs(rng, heads)
-    err = op_grad_check(lambda t: T.self_attention(*t, heads), arrays)
+    err = op_grad_check(lambda t: T.self_attention(*t, heads, queries=queries), arrays)
     assert err < 1e-4, f"heads={heads}: worst relative error {err:.2e}"
 
 
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_self_attention_matches_composed_oracle(rng, heads):
+@pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (4, None), (2, 1)],
+                         ids=["1", "2", "4", "2-query1"])
+def test_self_attention_matches_composed_oracle(rng, heads, queries):
     arrays = _attention_inputs(rng, heads, n=7, dim=6, d_k=5)
-    weighting = Tensor(rng.normal(size=(2, 7, heads * 5)))
+    weighting = Tensor(rng.normal(size=(2, queries or 7, heads * 5)))
     results = []
     for attend in (T.self_attention, self_attention):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        out, maps = attend(*inputs, heads, return_weights=True)
+        out, maps = attend(*inputs, heads, return_weights=True, queries=queries)
         backward(T.tsum(T.mul(out, weighting)))
         results.append([out.data, maps] + [t.grad for t in inputs])
     for fused, composed in zip(*results):
@@ -124,6 +129,9 @@ def test_self_attention_rejects_mismatched_shapes(rng):
         T.self_attention(x, w_q, w_k, w_v, heads=4)   # width 6 does not split into 4
     with pytest.raises(ShapeError):
         T.self_attention(Tensor(np.zeros((5, 4))), w_q, w_k, w_v, heads=2)
+    for queries in (0, 6):   # the input has 5 rows
+        with pytest.raises(ShapeError):
+            T.self_attention(x, w_q, w_k, w_v, heads=2, queries=queries)
 
 
 def test_attention_weights_row_stochastic(rng):
@@ -254,3 +262,52 @@ def test_stack_residual_degeneracy(rng):
     feature, _ = tf.stack_forward(Tensor(x), stack)
     expected = T.layer_norm(Tensor(x[:, 0, :]), stack.final_gain, stack.final_bias)
     np.testing.assert_allclose(feature.data, expected.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("pos", ["1d", "none"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_class_only_last_block_matches_all_rows_oracle(depth, pos, monkeypatch):
+    """float64, no dropout: the stack whose last block computes only the
+    class row gives the all-rows stack's feature, logits, per-block class
+    tokens and parameter gradients."""
+    cfg = TSTConfig(L=24, ns=6, dim=6, dim_mlp=10, d_k=3, heads=2, depth=depth,
+                    p_drop=0.0, pos_encoding=pos, n_class=4)
+    model = TSTModel(cfg, seed=depth, dtype=np.float64)
+    rng = np.random.default_rng(40 + depth)
+    model.w_head.data = rng.normal(size=model.w_head.shape)   # the zero head hides the logits
+    x, labels = rng.normal(size=(3, 24)), np.array([0, 3, 1])
+    runs = []
+    for forward in (tf.stack_forward, oracles.stack_forward):
+        features = []
+
+        def capture(*args, forward=forward, **kwargs):
+            out = forward(*args, **kwargs)
+            features.append(out[0].data)
+            return out
+
+        monkeypatch.setattr(tstmodel, "stack_forward", capture)
+        model.zero_grad()
+        result = model.forward(x, training=True, rng=np.random.default_rng(0))
+        backward(cross_entropy_from_logits(result.logits, labels))
+        runs.append([features[0], result.logits.data]
+                    + [t.data for t in result.class_tokens]
+                    + [p.grad for _, p in model.parameters()])
+    assert len(runs[0]) == 2 + depth + len(model.parameters())
+    for got, want in zip(*runs):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _kept(vjp, name):
+    """The array a pullback closure binds under ``name``, or None."""
+    free = vjp.__code__.co_freevars
+    return vjp.__closure__[free.index(name)].cell_contents if name in free else None
+
+
+def test_last_block_attention_keeps_one_query_row(rng):
+    b, n, heads = 3, 5, 2
+    stack = make_stack(depth=2, heads=heads)
+    feature, _ = tf.stack_forward(Tensor(rng.normal(size=(b, n, 6))), stack)
+    kept = [_kept(node._vjp, "probs") for node in Tape(T.tsum(feature)).nodes()
+            if not node.is_leaf()]
+    shapes = [p.shape for p in kept if p is not None]
+    assert shapes == [(b, heads, n, n), (b, heads, 1, n)]
