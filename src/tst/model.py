@@ -13,10 +13,10 @@ them through log-sum-exp.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import struct
-import sys
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -58,6 +58,10 @@ class TSTConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                float(value)   # checkpoints store an f64, and an int can exceed every one
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a 64-bit float") from None
         if not isinstance(self.pos_encoding, str):
             raise ConfigError(f"pos_encoding must be a string, got {self.pos_encoding!r}")
         for name in _INT_FIELDS:
@@ -72,8 +76,7 @@ class TSTConfig:
             raise ConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.pos_encoding not in (POS_LEARNED_1D, POS_NONE):
             raise ConfigError(f"pos_encoding must be '1d' or 'none', got {self.pos_encoding!r}")
-        top = sys.float_info.max   # nan fails, and so does an int beyond any f64
-        if not (0.0 < self.lr <= top and 0.0 < self.lr_gamma <= top):
+        if not (0.0 < self.lr < math.inf and 0.0 < self.lr_gamma < math.inf):   # nan fails too
             raise ConfigError(f"lr and lr_gamma must be positive and finite, got "
                               f"{self.lr} and {self.lr_gamma}")
         return self

@@ -54,9 +54,8 @@ def self_attention(x, w_q, w_k, w_v, heads, return_weights=False, queries=None):
 
 
 def stack_forward(tokens, stack, *, training=False, p_drop=0.0, rng=None):
-    """``transformer.stack_forward`` with every block over every row, as
-    before the last block learned to compute only the class row: the
-    function that class-only block must still compute."""
+    """``transformer.stack_forward`` with every block over every row: the
+    function the stack with a class-only last block must still compute."""
     y = tokens
     class_tokens = []
     for block in stack.blocks:

@@ -73,9 +73,9 @@ def test_config_fields_must_have_their_types(field, value):
         TSTConfig(**{field: value}).validate()
 
 
-def test_config_accepts_numeric_kin():
+def test_config_accepts_ints_for_floats_and_numpy_scalars():
     """An int where a float is declared is a number; numpy scalars are too."""
-    TSTConfig(p_drop=0, lr=1, lr_gamma=np.float64(0.5), dim=np.int64(64)).validate()
+    TSTConfig(p_drop=0, lr=1, lr_gamma=np.float32(0.5), dim=np.int64(64)).validate()
 
 
 def test_save_checkpoint_rejects_field_beyond_u32(tmp_path):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import op_grad_check
-import oracles
 from oracles import scaled_dot_product_attention, self_attention
+from oracles import stack_forward as all_rows_stack_forward
+from tst import model as tstmodel
 from tst import tensor as T
 from tst import tokenizer as tok
 from tst import transformer as tf
 from tst.errors import ShapeError
-from tst import model as tstmodel
 from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
 from tst.tensor import Tape, Tensor, backward
 from tst.gradcheck import numerical_grads, max_rel_error
@@ -277,7 +277,7 @@ def test_class_only_last_block_matches_all_rows_oracle(depth, pos, monkeypatch):
     model.w_head.data = rng.normal(size=model.w_head.shape)   # the zero head hides the logits
     x, labels = rng.normal(size=(3, 24)), np.array([0, 3, 1])
     runs = []
-    for forward in (tf.stack_forward, oracles.stack_forward):
+    for forward in (tf.stack_forward, all_rows_stack_forward):
         features = []
 
         def capture(*args, forward=forward, **kwargs):
