@@ -409,11 +409,11 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     contexts come out side by side, (B, m, heads*d_k). Keys and values come
     from all n rows; queries only from the leading m = ``queries`` rows (all
     of them by default), so the output has one row per query. The heads are
-    strided views of the projection products (one GEMM when every row
-    queries), q is scaled in place and the max-shifted softmax overwrites
-    the scores, so besides its output the node keeps only x, the
-    concatenated weights, the scaled q, k, v and the (B, heads, m, n)
-    probabilities; the pullback writes the softmax, matmul and projection
+    strided views of two projection products (one key/value GEMM over all
+    rows, one query GEMM over the leading m), q is scaled in place and the
+    max-shifted softmax overwrites the scores, so besides its output the
+    node keeps only x, the concatenated weights, the scaled q, k, v and the
+    (B, heads, m, n) probabilities; the pullback writes the softmax, matmul and projection
     adjoints out by hand, with a zero query adjoint for the rows past m.
     With ``return_weights`` a copy of the probabilities comes back as well.
     """
@@ -432,15 +432,10 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
         raise ShapeError(f"projection width {width} does not split into {heads} heads")
     d_k = width // heads
     w = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)    # (dim, 3*width)
-    x_rows = x.data.reshape(b * n, dim)
-    if m == n:
-        qkv = np.matmul(x_rows, w)
-        q, k, v = qkv.reshape(b, n, 3, heads, d_k).transpose(2, 0, 3, 1, 4)   # (B, heads, n, d_k)
-    else:
-        kv = np.matmul(x_rows, w[:, width:])
-        k, v = kv.reshape(b, n, 2, heads, d_k).transpose(2, 0, 3, 1, 4)
-        q = np.matmul(x.data[:, :m].reshape(b * m, dim), w[:, :width])
-        q = q.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
+    kv = np.matmul(x.data.reshape(b * n, dim), w[:, width:])
+    k, v = kv.reshape(b, n, 2, heads, d_k).transpose(2, 0, 3, 1, 4)   # (B, heads, n, d_k)
+    q = np.matmul(x.data[:, :m].reshape(b * m, dim), w[:, :width])
+    q = q.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
     scale = q.dtype.type(1.0 / math.sqrt(d_k))
     q *= scale                     # scale q rather than the much larger scores
     probs = np.matmul(q, k.swapaxes(-1, -2))
