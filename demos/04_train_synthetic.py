@@ -26,8 +26,8 @@ print(f"{len(windows)} windows -> {len(split.train)} train / {len(split.test)} t
 cfg = TSTConfig(L=512, ns=64, dim=32, dim_mlp=64, d_k=16, heads=2, depth=2,
                 n_class=10, epochs=EPOCHS, batch_size=64, lr=1e-3)
 model = TSTModel(cfg, seed=0)
-print(f"model: {model.num_parameters():,} parameters "
-      f"({analysis.cost_report(cfg).flops_m:.1f} MFLOPs/sample)")
+cost = analysis.cost_report(cfg)
+print(f"model: {cost.params_full:,} parameters ({cost.flops_m:.1f} MFLOPs/sample)")
 
 print(f"\n== training {EPOCHS} epochs ==")
 start = time.time()

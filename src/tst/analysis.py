@@ -10,10 +10,10 @@ inside attention are tracked separately in ``macs_attention`` because the
 reference FLOPs figures exclude them.
 
 t-SNE here is the exact O(n^2) algorithm: per-point bandwidths found by
-binary search against the target perplexity, symmetrized affinities,
-Student-t low-dimensional kernel, gradient descent with momentum 0.5
-(0.8 after iteration 250) and early exaggeration x12 for the first 250
-iterations.
+binary search against the target perplexity (finite, >= 1, <= n/3),
+symmetrized affinities, Student-t low-dimensional kernel, gradient descent
+with momentum 0.5 (0.8 after iteration 250) and early exaggeration x12 for
+the first 250 iterations (a run needs at least one).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class SweepRow:
     flops_target_m: float
     params_target_m: float
 
-    def config(self, base: TSTConfig | None = None) -> TSTConfig:
-        return replace(base or TSTConfig(), **self.overrides).validate()
+    def config(self) -> TSTConfig:
+        return replace(TSTConfig(), **self.overrides).validate()
 
 
 # Bundled reference sweep: the stock architecture plus the published
@@ -130,22 +130,20 @@ REFERENCE_SWEEP: tuple[SweepRow, ...] = (
 )
 
 
-def sweep_results(base: TSTConfig | None = None) -> list[tuple[SweepRow, CostReport]]:
-    return [(row, cost_report(row.config(base))) for row in REFERENCE_SWEEP]
+def sweep_results() -> list[tuple[SweepRow, CostReport]]:
+    return [(row, cost_report(row.config())) for row in REFERENCE_SWEEP]
 
 
 # ---------------------------------------------------------------------------
 # confusion matrices and the 4-mode collapse
 
 
-def confusion(true_labels, predicted, n_class: int | None = None) -> np.ndarray:
+def confusion(true_labels, predicted, n_class: int) -> np.ndarray:
     """Counts with rows = true class, columns = predicted class."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
         raise DataError(f"label vectors disagree: {t.shape} vs {p.shape}")
-    if n_class is None:
-        n_class = int(max(t.max(), p.max())) + 1 if t.size else 0
     m = np.zeros((n_class, n_class), dtype=np.int64)
     np.add.at(m, (t, p), 1)
     return m
@@ -163,23 +161,18 @@ FOUR_CLASS_MAP = np.array([0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
 FOUR_CLASS_NAMES = ("NC", "IR", "OR", "RB")
 
 
-def collapse_to_4class(matrix_or_labels) -> np.ndarray:
-    """Fold the 10-class layout into the 4 fault modes.
+def collapse_to_4class(matrix) -> np.ndarray:
+    """Fold a 10x10 confusion matrix into the 4x4 one of the fault modes.
 
-    Accepts either a 10x10 confusion matrix (returns 4x4) or a label
-    vector (returns mapped labels). Within-mode confusion lands on the
-    collapsed diagonal, so accuracy never decreases.
+    Within-mode confusion lands on the collapsed diagonal, so accuracy
+    never decreases.
     """
-    arr = np.asarray(matrix_or_labels)
-    if arr.ndim == 1:
-        if arr.size and (arr.min() < 0 or arr.max() > 9):
-            raise DataError("labels outside the 10-class layout")
-        return FOUR_CLASS_MAP[arr]
-    if arr.ndim == 2 and arr.shape == (10, 10):
-        out = np.zeros((4, 4), dtype=arr.dtype)
-        np.add.at(out, (FOUR_CLASS_MAP[:, None], FOUR_CLASS_MAP[None, :]), arr)
-        return out
-    raise DataError(f"expected a 10x10 matrix or a label vector, got shape {arr.shape}")
+    arr = np.asarray(matrix)
+    if arr.shape != (10, 10):
+        raise DataError(f"expected a 10x10 matrix, got shape {arr.shape}")
+    out = np.zeros((4, 4), dtype=arr.dtype)
+    np.add.at(out, (FOUR_CLASS_MAP[:, None], FOUR_CLASS_MAP[None, :]), arr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +187,6 @@ class TsneResult:
     coords: np.ndarray            # (n, 2)
     kl_final: float
     kl_after_exaggeration: float
-    perplexity: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,11 @@ def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
     n = x.shape[0]
     if n > MAX_TSNE_POINTS:
         raise ConfigError(f"{n} points exceeds the exact-algorithm cap of {MAX_TSNE_POINTS}")
-    if perplexity <= 0 or n < 3 * perplexity:
+    if not 1.0 <= perplexity < math.inf:   # nan fails too
+        raise ConfigError(f"perplexity must be finite and >= 1, got {perplexity}")
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if n < 3 * perplexity:
         raise ConfigError(f"need at least 3*perplexity={3 * perplexity:g} points, got {n}")
 
     exaggeration = 12.0
@@ -297,8 +292,7 @@ def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
     if math.isnan(kl_after_exaggeration):   # short runs never left exaggeration
         kl_after_exaggeration = kl_final
     return TsneResult(coords=y, kl_final=kl_final,
-                      kl_after_exaggeration=kl_after_exaggeration,
-                      perplexity=perplexity, seed=seed)
+                      kl_after_exaggeration=kl_after_exaggeration)
 
 
 def _student_t_q(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

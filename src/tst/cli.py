@@ -36,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-TRAIN_COLUMNS = "epoch,train_loss,test_loss,train_acc,test_acc"
-
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -117,6 +115,14 @@ def _load_split(args, cfg: TSTConfig) -> data.DatasetSplit:
     return data.split_train_test(windows, n_train, n_test, seed=args.split_seed)
 
 
+def _require_at_least(args, low: int, *flags: str):
+    """Reject the first given flag whose value (unless unset or absent) is below ``low``."""
+    for flag in flags:
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,11 +130,10 @@ def _load_split(args, cfg: TSTConfig) -> data.DatasetSplit:
 def cmd_synth(args) -> int:
     out = Path(args.out)
     spec = data.default_synthetic_spec()
-    if args.classes != len(spec.classes):
-        if args.classes > len(spec.classes):
-            raise ConfigError(f"built-in synthetic spec has {len(spec.classes)} classes")
-        spec = data.SyntheticSpec(sample_rate=spec.sample_rate,
-                                  classes=spec.classes[:args.classes])
+    if not 1 <= args.classes <= len(spec.classes):
+        raise ConfigError(f"--classes must be in [1, {len(spec.classes)}], got {args.classes}")
+    _require_at_least(args, 1, "per_class", "length")
+    spec = data.SyntheticSpec(sample_rate=spec.sample_rate, classes=spec.classes[:args.classes])
     windows = data.generate_synthetic(spec, args.per_class, args.seed, length=args.length)
     data.write_csv(windows, out,
                    comment=f"synthetic bearing windows: {args.classes} classes x "
@@ -238,6 +243,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _require_at_least(args, 1, "max_points")
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
     windows = data.load_csv(args.data, length=cfg.L, n_class=cfg.n_class)
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train", help="train one model",
         description=f"Trains a single trial. The trial report columns are "
-                    f"{TRAIN_COLUMNS}, one row per epoch, followed by a summary record.")
+                    f"{training.TRIAL_COLUMNS}, one row per epoch, followed by a summary record.")
     p.add_argument("--data", required=True, help="CSV dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True, dest="out_dir")
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "study", help="repeat trials and aggregate accuracy statistics",
-        description=f"Per-trial report columns: {TRAIN_COLUMNS}. The study report "
+        description=f"Per-trial report columns: {training.TRIAL_COLUMNS}. The study report "
                     f"lists trial,seed,final_test_acc,status plus a summary with "
                     f"top/min/avg accuracy and the population std.")
     p.add_argument("--data", required=True)
@@ -330,6 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_at_least(args, 0, "seed", "base_seed", "split_seed")   # numpy's seed domain
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,9 +1,7 @@
-"""Labeled vibration windows: resampling, CSV ingestion, synthetic signals.
+"""Labeled vibration windows: CSV ingestion, synthetic signals, splits.
 
-Long acceleration records are cut into fixed-length windows at a stride;
-a stride below the window length overlaps neighbouring windows (delay
-sampling), which acts as cheap data enhancement. CSV files carry one
-window per row: an integer label followed by exactly the window's samples.
+CSV files carry one window per row: an integer label in ``[0, n_class)``
+followed by exactly the window's ``length`` samples.
 
 A parametric impulse-train generator stands in for measured bearing data
 in desk-scale runs: each fault class is an exponentially decaying
@@ -21,8 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-DEFAULT_WINDOW = 2048
-
 
 @dataclass(frozen=True)
 class LabeledWindow:
@@ -32,45 +28,10 @@ class LabeledWindow:
 
 
 @dataclass
-class ResampleConfig:
-    window_length: int = DEFAULT_WINDOW
-    stride: int = DEFAULT_WINDOW
-
-    def validate(self):
-        if self.window_length < 1:
-            raise ConfigError(f"window_length must be >= 1, got {self.window_length}")
-        if not 1 <= self.stride <= self.window_length:
-            raise ConfigError(
-                f"stride must be in [1, window_length={self.window_length}], got {self.stride}"
-            )
-        return self
-
-
-@dataclass
 class DatasetSplit:
     train: list[LabeledWindow]
     test: list[LabeledWindow]
     split_seed: int
-
-
-def resample_windows(signal, config: ResampleConfig, label: int,
-                     source_id: str = "") -> list[LabeledWindow]:
-    """Cut a long record into windows starting at 0, stride, 2*stride, ...
-
-    Yields floor((len - window_length) / stride) + 1 windows; adjacent
-    windows share window_length - stride samples.
-    """
-    config.validate()
-    signal = np.asarray(signal, dtype=np.float32).reshape(-1)
-    w, s = config.window_length, config.stride
-    if signal.size < w:
-        raise DataError(f"signal of length {signal.size} is shorter than window {w}")
-    count = (signal.size - w) // s + 1
-    return [
-        LabeledWindow(samples=signal[i * s:i * s + w].copy(), label=label,
-                      source_id=f"{source_id}[{i * s}:{i * s + w}]")
-        for i in range(count)
-    ]
 
 
 def split_train_test(windows, n_train: int, n_test: int, seed: int) -> DatasetSplit:
@@ -93,10 +54,8 @@ def split_train_test(windows, n_train: int, n_test: int, seed: int) -> DatasetSp
 # "label,s0,s1,...", optional comment/header lines starting with '#'.
 
 
-def load_csv(path, length: int | None = None,
-             n_class: int | None = None) -> list[LabeledWindow]:
+def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
     windows: list[LabeledWindow] = []
-    expected = length
     try:
         # bytes that are not UTF-8 decode to lone surrogates, which no label
         # or sample parses, so such a row fails naming its line
@@ -113,15 +72,11 @@ def load_csv(path, length: int | None = None,
                 label = int(raw_label)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: label {raw_label!r} is not an integer") from None
-            if label < 0 or (n_class is not None and label >= n_class):
+            if not 0 <= label < n_class:
                 raise DataError(f"{path}:{lineno}: label {label} out of range")
-            if expected is None:
-                expected = len(values)
-                if expected == 0:
-                    raise DataError(f"{path}:{lineno}: row has a label but no samples")
-            if len(values) != expected:
+            if len(values) != length:
                 raise DataError(
-                    f"{path}:{lineno}: row has {len(values)} samples, expected {expected}"
+                    f"{path}:{lineno}: row has {len(values)} samples, expected {length}"
                 )
             try:
                 samples = np.array([float(v) for v in values], dtype=np.float32)
@@ -220,7 +175,7 @@ def _impulse_train(spec: ClassSpec, n: int, sample_rate: float,
 
 
 def generate_synthetic(spec: SyntheticSpec, n_per_class: int, seed: int,
-                       length: int = DEFAULT_WINDOW) -> list[LabeledWindow]:
+                       length: int) -> list[LabeledWindow]:
     """Balanced labeled windows, bit-reproducible for a given seed."""
     spec.validate()
     rng = np.random.default_rng(seed)

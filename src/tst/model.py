@@ -136,9 +136,6 @@ class TSTModel:
                       ("final.bias", self.stack.final_bias),
                       ("head.w", self.w_head), ("head.b", self.b_head)]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     def zero_grad(self):
         for _, p in self.parameters():
             p.grad = None

@@ -124,20 +124,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        """Detached copy of the values."""
-        return self.data.copy()
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -254,9 +244,6 @@ class Tape:
                     stack.append((p, False))
         self._order = order  # parents before dependents
 
-    def __len__(self):
-        return len(self._order)
-
     def nodes(self) -> list[_Node]:
         return list(self._order)
 
@@ -272,7 +259,7 @@ class Tape:
             g = adjoints.pop(id(node), None)
             if node._vjp is None:
                 if g is not None:
-                    # leaf: accumulate (repeated backward calls add up until zero_grad)
+                    # leaf: accumulate (repeated backward calls add up until grad is reset)
                     leaf = node.tensor
                     leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
                 continue

@@ -1,9 +1,10 @@
 """Adam optimization, the epoch loop, and repeated-trial studies.
 
 One trial = re-init + train + per-epoch evaluation, fully determined by
-(seed, config, dataset). A study repeats trials over a seed list and
-aggregates the final test accuracies into TopAcc / MinAcc / AvgAcc / Std,
-the statistics used to compare architecture variants.
+(seed, config, dataset): the learning-rate schedule reads the config, and
+Adam's betas and epsilon are module constants. A study repeats trials over
+a seed list and aggregates the final test accuracies into TopAcc / MinAcc /
+AvgAcc / Std, the statistics used to compare architecture variants.
 """
 
 from __future__ import annotations
@@ -20,14 +21,19 @@ from .model import TSTConfig, TSTModel, cross_entropy_from_logits
 from .tensor import Tensor, backward, no_grad
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# the trial report's table header, one row per epoch
+TRIAL_COLUMNS = "epoch,train_loss,test_loss,train_acc,test_acc"
+
+
 @dataclass
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: list[Tensor]) -> "AdamState":
@@ -46,7 +52,7 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ConfigError("parameter / gradient / state lengths disagree")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -56,19 +62,18 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             m = b1 * state.m[i] + (1.0 - b1) * g
             v = b2 * state.v[i] + (1.0 - b2) * (g * g)
-            updated = p.data - (lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(
+            updated = p.data - (lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(
                 p.dtype, copy=False)
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(updated))):
             raise TrainingAbort(f"non-finite Adam update for {name} at step {state.t}")
         state.m[i], state.v[i], p.data = m, v, updated
 
 
-def lr_at_epoch(epoch: int, initial_lr: float = 3e-5, step: int = 10,
-                gamma: float = 0.8) -> float:
-    """Step decay: initial_lr * gamma ** floor(epoch / step)."""
+def lr_at_epoch(epoch: int, config: TSTConfig) -> float:
+    """Step decay: lr * lr_gamma ** floor(epoch / lr_step)."""
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
-    return initial_lr * gamma ** (epoch // step)
+    return config.lr * config.lr_gamma ** (epoch // config.lr_step)
 
 
 @dataclass
@@ -84,9 +89,9 @@ class TrialReport:
         return self.test_acc[-1] if self.test_acc else float("nan")
 
     def lines(self) -> list[str]:
-        """Delimited table: epoch,train_loss,test_loss,train_acc,test_acc
-        plus a trailing summary record."""
-        out = ["epoch,train_loss,test_loss,train_acc,test_acc"]
+        """Delimited table under ``TRIAL_COLUMNS`` plus a trailing summary
+        record."""
+        out = [TRIAL_COLUMNS]
         for e in range(len(self.train_loss)):
             out.append(f"{e},{self.train_loss[e]!r},{self.test_loss[e]!r},"
                        f"{self.train_acc[e]!r},{self.test_acc[e]!r}")
@@ -168,7 +173,7 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
     report = TrialReport(seed=seed)
 
     for epoch in range(config.epochs):
-        lr = lr_at_epoch(epoch, config.lr, config.lr_step, config.lr_gamma)
+        lr = lr_at_epoch(epoch, config)
         order = rng.permutation(len(x_train))
         epoch_loss = 0.0
         epoch_correct = 0

@@ -29,7 +29,7 @@ def scaled_dot_product_attention(q, k, v, return_weights=False):
     scores = T.matmul(T.mul(q, 1.0 / math.sqrt(q.shape[-1])), T.transpose(k, axes))
     weights = T.softmax(scores, axis=-1)
     out = T.matmul(weights, v)
-    return (out, weights.numpy()) if return_weights else out
+    return (out, weights.data.copy()) if return_weights else out
 
 
 def self_attention(x, w_q, w_k, w_v, heads, return_weights=False, queries=None):

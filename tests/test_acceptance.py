@@ -74,7 +74,8 @@ def test_criterion_2_parameter_reconciliation():
                         d_k=int(rng.integers(1, 16)), heads=int(rng.integers(1, 5)),
                         depth=int(rng.integers(1, 4)), n_class=int(rng.integers(2, 12)),
                         pos_encoding=str(rng.choice(["1d", "none"])))
-        assert analysis.cost_report(cfg).params_full == TSTModel(cfg, seed=0).num_parameters()
+        assert analysis.cost_report(cfg).params_full == sum(
+            p.size for _, p in TSTModel(cfg, seed=0).parameters())
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -236,10 +237,10 @@ def test_criterion_6_subsequence_length_trend():
 
 def test_criterion_7_optimizer_and_schedule():
     for e in range(50):
-        assert lr_at_epoch(e) == 3e-5 * 0.8 ** (e // 10)
-    assert lr_at_epoch(0) == 3e-5
-    assert abs(lr_at_epoch(10) - 2.4e-5) < 1e-18
-    assert abs(lr_at_epoch(49) - 1.2288e-5) < 1e-12
+        assert lr_at_epoch(e, TSTConfig()) == 3e-5 * 0.8 ** (e // 10)
+    assert lr_at_epoch(0, TSTConfig()) == 3e-5
+    assert abs(lr_at_epoch(10, TSTConfig()) - 2.4e-5) < 1e-18
+    assert abs(lr_at_epoch(49, TSTConfig()) - 1.2288e-5) < 1e-12
 
     rng = np.random.default_rng(4)
     grads = rng.normal(size=40)

@@ -31,7 +31,7 @@ def test_closed_form_matches_model_enumeration_on_random_configs():
     for cfg in random_valid_configs(50):
         report = cost_report(cfg)
         model = TSTModel(cfg, seed=0)
-        assert report.params_full == model.num_parameters(), cfg
+        assert report.params_full == sum(p.size for _, p in model.parameters()), cfg
 
 
 def test_comparable_count_excludes_standalone_tensors():
@@ -103,7 +103,7 @@ def test_confusion_row_sums_and_accuracy(rng):
 
 def test_confusion_length_mismatch():
     with pytest.raises(DataError):
-        confusion(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+        confusion(np.zeros(3, dtype=int), np.zeros(4, dtype=int), n_class=2)
 
 
 def test_collapse_diagonal_stays_diagonal():
@@ -130,10 +130,8 @@ def test_collapse_never_decreases_accuracy(rng):
 
 
 def test_collapse_labels_and_validation():
-    np.testing.assert_array_equal(collapse_to_4class(np.array([0, 1, 5, 9])),
-                                  np.array([0, 1, 2, 3]))
-    with pytest.raises(DataError):
-        collapse_to_4class(np.array([0, 11]))
+    with pytest.raises(DataError):   # a label vector is not a confusion matrix
+        collapse_to_4class(np.array([0, 1, 5, 9]))
     with pytest.raises(DataError):
         collapse_to_4class(np.zeros((5, 5), dtype=int))
 
@@ -193,6 +191,20 @@ def test_tsne_preconditions():
         tsne_embed(feats, perplexity=30)
     with pytest.raises(ConfigError, match="cap"):
         tsne_embed(np.zeros((5001, 2)), perplexity=10)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"perplexity": float("nan")}, "perplexity"),
+    ({"perplexity": float("inf")}, "perplexity"),
+    ({"perplexity": 1e-300}, "perplexity"),
+    ({"perplexity": 0.999}, "perplexity"),
+    ({"perplexity": 5.0, "iterations": -5}, "iterations"),
+    ({"perplexity": 5.0, "iterations": 0}, "iterations"),
+], ids=["nan", "inf", "tiny", "below-1", "negative-iterations", "zero-iterations"])
+def test_tsne_rejects_bad_perplexity_and_iterations(kwargs, match):
+    feats, _ = two_clusters(n_each=10)
+    with pytest.raises(ConfigError, match=match):
+        tsne_embed(feats, **kwargs)
 
 
 def test_affinity_matrix_properties():

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tst import cli
-from tst.model import load_checkpoint
+from conftest import FUZZ
+from tst import cli, data
+from tst.model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -217,3 +223,119 @@ def test_embed_perplexity_guard(small_dataset, tmp_path):
                 "--data", str(small_dataset), "--perplexity", "40",
                 "--out", str(tmp_path / "e.csv")])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [
+    ["--classes", "-2"], ["--classes", "0"], ["--classes", "11"],
+    ["--per-class", "0"], ["--per-class", "-1"],
+    ["--length", "0"], ["--length", "-1"], ["--seed", "-1"],
+], ids="=".join)
+def test_synth_rejects_bad_counts_and_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "set.csv"
+    argv = ["synth", "--classes", "2", "--per-class", "2", "--length", "16", "--out", str(out)]
+    assert run(argv + flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: --")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"], ["train", "--split-seed", "-1"],
+    ["study", "--trials", "1", "--base-seed", "-1"],
+    ["study", "--trials", "1", "--split-seed", "-1"],
+], ids=["train-seed", "train-split-seed", "study-base-seed", "study-split-seed"])
+def test_train_and_study_reject_negative_seeds(small_dataset, tmp_path, capsys, argv):
+    code = run(argv + ["--data", str(small_dataset), "--out-dir", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: --")
+    assert not (tmp_path / "run").exists()
+
+
+TINY_MODEL = TSTConfig(L=16, ns=4, dim=4, dim_mlp=4, d_k=2, heads=1, depth=1, n_class=2)
+
+
+@pytest.fixture(scope="module")
+def tiny_embed_inputs(tmp_path_factory):
+    """A freshly initialized tiny checkpoint and 12 windows it accepts."""
+    root = tmp_path_factory.mktemp("embed")
+    save_checkpoint(TSTModel(TINY_MODEL, seed=0), root / "model.tst")
+    spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:TINY_MODEL.n_class])
+    data.write_csv(data.generate_synthetic(spec, 6, seed=0, length=TINY_MODEL.L),
+                   root / "set.csv")
+    (root / "fuzz").mkdir()
+    return root
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-points", "0"], ["--max-points", "-1"], ["--seed", "-1"],
+    ["--perplexity", "nan"], ["--perplexity", "1e-300"], ["--perplexity=-inf"],
+    ["--iterations", "-5"], ["--iterations", "0"],
+], ids="=".join)
+def test_embed_rejects_bad_tsne_inputs(tiny_embed_inputs, capsys, flags):
+    out = tiny_embed_inputs / "bad.csv"
+    argv = ["embed", "--checkpoint", str(tiny_embed_inputs / "model.tst"),
+            "--data", str(tiny_embed_inputs / "set.csv"), "--perplexity", "2",
+            "--iterations", "3", "--out", str(out)]
+    assert run(argv + flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
+# argv fuzzing: each flag is absent, an accepted value of its declared type,
+# or an edge: a negative, 0, a value just past a bound, 2**32, a non-finite
+# float. Sizes that allocate (synth counts, t-SNE iterations) stay small and
+# are always given, so every accepted run takes milliseconds; so is the
+# perplexity, whose default needs more points than the tiny dataset has.
+def _pick(accepted, *edges):
+    return st.one_of(accepted, st.sampled_from(edges))
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_SEEDS = _pick(st.integers(0, 3), -1, 2**32, 2**64)
+_FLAGS = {
+    "synth": {"--classes": _pick(st.integers(1, 10), -1, 0, 11, 2**32),
+              "--per-class": _pick(st.integers(1, 3), -1, 0),
+              "--length": _pick(st.integers(1, 9), -1, 0), "--seed": _SEEDS},
+    "cost": {**{flag: _pick(st.integers(1, 64), -1, 0, 2**32 - 1, 2**32)
+                for flag in ("--ns", "--dim", "--dim-mlp", "--dk", "--heads", "--depth",
+                             "--epochs", "--batch-size", "--length", "--classes")},
+             "--pdrop": _pick(st.floats(0.0, 0.99), -1e-300, 1.0, *_NON_FINITE),
+             "--lr": _pick(st.floats(1e-6, 1.0), 0.0, -1.0, 1e308, *_NON_FINITE),
+             "--pos-encoding": st.sampled_from(["1d", "none"]),
+             "--sweep": st.sampled_from(["table4", "table5", ""])},
+    "embed": {"--perplexity": _pick(st.floats(1.0, 4.0), 0.999, 4.001, 1e-300, 0.0, -1.0,
+                                    2.0**32, *_NON_FINITE),
+              "--iterations": _pick(st.integers(1, 3), -5, 0), "--seed": _SEEDS,
+              "--max-points": _pick(st.integers(1, 13), -1, 0, 2**32)},
+}
+_ALWAYS = {"--per-class", "--length", "--iterations", "--perplexity"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        value = draw(values if flag in _ALWAYS else st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+@FUZZ
+@given(argv=_argv())
+def test_cli_argv_fuzz_exits_with_a_documented_code_and_one_line(tiny_embed_inputs, argv):
+    out = tiny_embed_inputs / "fuzz"
+    paths = {"synth": ["--out", str(out / "set.csv")], "cost": [],
+             "embed": ["--checkpoint", str(tiny_embed_inputs / "model.tst"),
+                       "--data", str(tiny_embed_inputs / "set.csv"),
+                       "--out", str(out / "embedding.csv")]}
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv + paths[argv[0]])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert err.count("\n") <= 1, (argv, err)
+    assert "internal error:" not in err, (argv, err)

@@ -9,45 +9,16 @@ from tst import data
 from tst.errors import ConfigError, DataError
 
 
-def test_resample_exact_tiling(rng):
-    signal = rng.normal(size=10240)
-    windows = data.resample_windows(signal, data.ResampleConfig(2048, 2048), label=1)
-    assert len(windows) == 5
-    np.testing.assert_array_equal(np.concatenate([w.samples for w in windows]),
-                                  signal.astype(np.float32))
-
-
-def test_resample_overlapping(rng):
-    signal = rng.normal(size=10240)
-    windows = data.resample_windows(signal, data.ResampleConfig(2048, 1024), label=0)
-    assert len(windows) == (10240 - 2048) // 1024 + 1 == 9
-    # adjacent windows share window_length - stride samples
-    np.testing.assert_array_equal(windows[0].samples[1024:], windows[1].samples[:1024])
-
-
-def test_resample_too_short():
-    with pytest.raises(DataError):
-        data.resample_windows(np.zeros(2047), data.ResampleConfig(2048, 2048), label=0)
-
-
-@pytest.mark.parametrize("n,w,s", [(5000, 512, 512), (5000, 512, 100), (512, 512, 1)])
-def test_resample_count_formula(n, w, s, rng):
-    windows = data.resample_windows(rng.normal(size=n), data.ResampleConfig(w, s), label=3)
-    assert len(windows) == (n - w) // s + 1
-    assert all(len(win.samples) == w for win in windows)
-    assert all(win.label == 3 for win in windows)
-
-
-def test_resample_config_validation():
-    with pytest.raises(ConfigError):
-        data.ResampleConfig(2048, 0).validate()
-    with pytest.raises(ConfigError):
-        data.ResampleConfig(2048, 4096).validate()
+def _windows(rng, count, length):
+    """``count`` labeled windows tiling one noise record, each with its own id."""
+    signal = rng.normal(size=count * length).astype(np.float32)
+    return [data.LabeledWindow(samples=signal[i * length:(i + 1) * length], label=0,
+                               source_id=f"[{i * length}:{(i + 1) * length}]")
+            for i in range(count)]
 
 
 def test_split_full_scale_counts(rng):
-    windows = data.resample_windows(rng.normal(size=2048 * 9000),
-                                    data.ResampleConfig(2048, 2048), label=0)
+    windows = _windows(rng, 9000, 2048)
     assert len(windows) == 9000
     split = data.split_train_test(windows, 7000, 2000, seed=4)
     assert len(split.train) == 7000 and len(split.test) == 2000
@@ -56,16 +27,14 @@ def test_split_full_scale_counts(rng):
 
 
 def test_split_exhaustive_partition(rng):
-    windows = data.resample_windows(rng.normal(size=512 * 10),
-                                    data.ResampleConfig(512, 512), label=0)
+    windows = _windows(rng, 10, 512)
     split = data.split_train_test(windows, 7, 3, seed=0)
     ids = {w.source_id for w in split.train} | {w.source_id for w in split.test}
     assert ids == {w.source_id for w in windows}
 
 
 def test_split_deterministic(rng):
-    windows = data.resample_windows(rng.normal(size=512 * 20),
-                                    data.ResampleConfig(512, 512), label=0)
+    windows = _windows(rng, 20, 512)
     a = data.split_train_test(windows, 10, 5, seed=9)
     b = data.split_train_test(windows, 10, 5, seed=9)
     assert [w.source_id for w in a.train] == [w.source_id for w in b.train]
@@ -102,7 +71,7 @@ def test_csv_roundtrip(tmp_path, rng):
     windows = data.generate_synthetic(data.default_synthetic_spec(), 2, seed=0, length=64)
     path = tmp_path / "set.csv"
     data.write_csv(windows, path, comment="test set")
-    back = data.load_csv(path, length=64)
+    back = data.load_csv(path, length=64, n_class=10)
     assert len(back) == len(windows)
     for a, b in zip(windows, back):
         assert a.label == b.label
@@ -112,7 +81,7 @@ def test_csv_roundtrip(tmp_path, rng):
 def test_csv_single_row(tmp_path):
     p = tmp_path / "one.csv"
     p.write_text("# header\n3," + ",".join(["0.1", "-0.2"] * 4) + "\n")
-    rows = data.load_csv(p)
+    rows = data.load_csv(p, length=8, n_class=4)
     assert len(rows) == 1 and rows[0].label == 3
     assert rows[0].samples.shape == (8,)
 
@@ -121,47 +90,55 @@ def test_csv_empty_file_warns(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
     with pytest.warns(UserWarning):
-        assert data.load_csv(p) == []
+        assert data.load_csv(p, length=8, n_class=10) == []
 
 
 def test_csv_errors_name_the_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.0,0.0,0.0\n2,0.0,0.0\n")
     with pytest.raises(DataError, match=r"bad\.csv:2"):
-        data.load_csv(p)
+        data.load_csv(p, length=3, n_class=10)
     p.write_text("1,0.0,zap,0.0\n")
     with pytest.raises(DataError, match=":1.*non-numeric"):
-        data.load_csv(p)
+        data.load_csv(p, length=3, n_class=10)
     p.write_text("x,0.0,0.0\n")
     with pytest.raises(DataError, match="label"):
-        data.load_csv(p)
+        data.load_csv(p, length=2, n_class=10)
     p.write_text("7,0.0,0.0\n")
     with pytest.raises(DataError, match="range"):
-        data.load_csv(p, n_class=4)
+        data.load_csv(p, length=2, n_class=4)
     with pytest.raises(DataError, match="not found"):
-        data.load_csv(tmp_path / "missing.csv")
+        data.load_csv(tmp_path / "missing.csv", length=2, n_class=10)
+
+
+def test_csv_label_beyond_every_integer_type_is_out_of_range(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text(f"{2**64},0.5,0.25\n")
+    with pytest.raises(DataError, match=r"huge\.csv:1: label 18446744073709551616 out of range"):
+        data.load_csv(p, length=2, n_class=10)
 
 
 def test_csv_expected_length_enforced(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("0," + ",".join(["0.0"] * 2047) + "\n")
     with pytest.raises(DataError, match="2047.*2048"):
-        data.load_csv(p, length=2048)
+        data.load_csv(p, length=2048, n_class=10)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e39"])
 def test_csv_non_finite_sample_names_the_line(tmp_path, value):
     p = tmp_path / "big.csv"
     p.write_text("1,0.5,0.25\n2,0.5," + value + "\n")
+    # and no RuntimeWarning, which the suite makes an error
     with pytest.raises(DataError, match=r"big\.csv:2: non-finite sample value"):
-        data.load_csv(p)   # and no RuntimeWarning, which the suite makes an error
+        data.load_csv(p, length=2, n_class=10)
 
 
 def test_csv_bytes_that_are_not_utf8_name_the_line(tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes("# caf\xe9\n1,0.5,0.25\n2,0.5,0.2\xb5\n".encode("latin-1"))
     with pytest.raises(DataError, match=r"latin\.csv:3: non-numeric"):
-        data.load_csv(p)
+        data.load_csv(p, length=2, n_class=10)
 
 
 _CSV_TOKENS = st.one_of(
@@ -174,7 +151,7 @@ _CSV_LINES = st.one_of(st.lists(_CSV_TOKENS, max_size=6).map(",".join).map(str.e
 
 @FUZZ
 @pytest.mark.filterwarnings("ignore:.*holds no data rows:UserWarning")
-@given(lines=st.lists(_CSV_LINES, max_size=6), length=st.sampled_from([None, 2, 3]))
+@given(lines=st.lists(_CSV_LINES, max_size=6), length=st.sampled_from([1, 2, 3]))
 def test_csv_from_any_bytes_loads_checked_windows_or_data_error(tmp_path_factory, lines,
                                                                 length):
     path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
@@ -189,7 +166,7 @@ def test_csv_from_any_bytes_loads_checked_windows_or_data_error(tmp_path_factory
         assert 0 <= w.label < 10 and w.samples.dtype == np.float32
         assert np.isfinite(w.samples).all()
         assert w.samples.shape == loaded[0].samples.shape
-        assert length is None or w.samples.shape == (length,)
+        assert w.samples.shape == (length,)
 
 
 @st.composite
@@ -206,7 +183,7 @@ def labeled_windows(draw):
 def test_csv_write_then_load_round_trips_exactly(tmp_path_factory, windows):
     path = tmp_path_factory.mktemp("csv") / "round.csv"
     data.write_csv(windows, path, comment="fuzz")
-    back = data.load_csv(path)
+    back = data.load_csv(path, length=windows[0].samples.size, n_class=2**40 + 1)
     assert [w.label for w in back] == [w.label for w in windows]
     for a, b in zip(windows, back):
         assert b.samples.dtype == np.float32

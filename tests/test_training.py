@@ -119,19 +119,19 @@ def test_huge_lr_aborts_naming_the_parameter_without_warnings():
 
 
 def test_lr_schedule_reference_points():
-    assert lr_at_epoch(0) == 3e-5
-    assert abs(lr_at_epoch(10) - 2.4e-5) < 1e-18
-    assert abs(lr_at_epoch(49) - 3e-5 * 0.8**4) < 1e-18
-    assert abs(lr_at_epoch(49) - 1.2288e-5) < 1e-12
+    assert lr_at_epoch(0, TSTConfig()) == 3e-5
+    assert abs(lr_at_epoch(10, TSTConfig()) - 2.4e-5) < 1e-18
+    assert abs(lr_at_epoch(49, TSTConfig()) - 3e-5 * 0.8**4) < 1e-18
+    assert abs(lr_at_epoch(49, TSTConfig()) - 1.2288e-5) < 1e-12
 
 
 def test_lr_schedule_exact_closed_form():
     for e in range(50):
-        assert lr_at_epoch(e) == 3e-5 * 0.8 ** (e // 10)
+        assert lr_at_epoch(e, TSTConfig()) == 3e-5 * 0.8 ** (e // 10)
 
 
 def test_lr_schedule_piecewise_non_increasing():
-    values = [lr_at_epoch(e) for e in range(50)]
+    values = [lr_at_epoch(e, TSTConfig()) for e in range(50)]
     for e in range(1, 50):
         assert values[e] <= values[e - 1]
         if e % 10 != 0:
@@ -139,7 +139,7 @@ def test_lr_schedule_piecewise_non_increasing():
         else:
             assert values[e] < values[e - 1]
     with pytest.raises(ConfigError):
-        lr_at_epoch(-1)
+        lr_at_epoch(-1, TSTConfig())
 
 
 # ---------------------------------------------------------------------------
