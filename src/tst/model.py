@@ -13,10 +13,14 @@ them through log-sum-exp.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import numbers
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -114,6 +118,10 @@ class TSTModel:
     aligned across runs.
     """
 
+    # rows x ns x dim of an eval batch's smaller half below which the batch stays whole: at
+    # desk size a worker lost to OpenBLAS's helper thread, still spinning after training's GEMMs
+    _EVAL_HALF_MIN = 2**17
+
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
         config.validate()
         self.config = config
@@ -142,11 +150,34 @@ class TSTModel:
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
+        """Without training or a graph, a large batch runs as two halves, rows
+        ``[0, ceil(B/2))`` and the rest, the second on a worker thread if a core
+        is free; which thread runs a half never alters the outputs."""
         x = T.as_tensor(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.L:
             raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
         if not np.all(np.isfinite(x.data)):
             raise DataError("non-finite values in model input")
+        if (training or T._grad_enabled()
+                or len(x.data) // 2 * self.config.ns * self.config.dim < self._EVAL_HALF_MIN):
+            return self._forward(x, training, rng)
+        half, run = (len(x.data) + 1) // 2, self._eval_rows
+        if _BLAS_PIN.usable and getattr(_CORE_BUDGET, "cores", _CORES) > 1:
+            with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
+                second = pool.submit(run, x.data[half:])
+                first, second = run(x.data[:half]), second.result()
+        else:
+            first, second = run(x.data[:half]), run(x.data[half:])
+        return ForwardResult(Tensor(np.concatenate([first.logits.data, second.logits.data])),
+                             [Tensor(np.concatenate([a.data, b.data]))
+                              for a, b in zip(first.class_tokens, second.class_tokens)])
+
+    def _eval_rows(self, rows: np.ndarray) -> ForwardResult:
+        with T.no_grad():   # the grad flag is per thread: a worker starts with it on
+            return self._forward(Tensor(rows))
+
+    def _forward(self, x: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None) -> ForwardResult:
         tokens = tokenize(x, self.tokenizer, training=training,
                           p_drop=self.config.p_drop, rng=rng)
         feature, class_tokens = stack_forward(tokens, self.stack, training=training,
@@ -158,6 +189,41 @@ class TSTModel:
         """Row-wise argmax class index (ties resolve to the lowest index)."""
         with T.no_grad():
             return np.argmax(self.forward(x, training=False).logits.data, axis=1)
+
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_CORE_BUDGET = threading.local()   # repeat_trials sets ``cores``, each trial thread's share
+
+
+class _BlasPin:
+    """Holds numpy's bundled OpenBLAS, process-wide, at one thread while any holder is inside."""
+
+    def __init__(self):
+        self.lock, self.holders, self.saved = threading.Lock(), 0, 1
+        libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
+        lib = ctypes.CDLL(libs[0]) if libs else None
+        self.get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        self.set = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        self.usable = self.get is not None and self.set is not None
+        if self.usable:   # int openblas_get_num_threads(void), void openblas_set_num_threads(int)
+            self.get.argtypes, self.get.restype = [], ctypes.c_int
+            self.set.argtypes, self.set.restype = [ctypes.c_int], None
+
+    def __enter__(self):
+        with self.lock:
+            if self.holders == 0:
+                self.saved = self.get()
+                self.set(1)
+            self.holders += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.holders -= 1
+            if self.holders == 0:
+                self.set(self.saved)
+
+
+_BLAS_PIN = _BlasPin()
 
 
 def _tensor_fields(prefix: str, params) -> list[tuple[str, Tensor]]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DatasetSplit, windows_to_arrays
 from .errors import ConfigError, TrainingAbort
-from .model import TSTConfig, TSTModel, cross_entropy_from_logits
+from .model import _CORE_BUDGET, _CORES, TSTConfig, TSTModel, cross_entropy_from_logits
 from .tensor import Tensor, backward, no_grad
 
 
@@ -162,6 +162,8 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
     partial batch. Test metrics are evaluated every epoch."""
     if not split.train or not split.test:
         raise ConfigError("training needs non-empty train and test sets")
+    if config.epochs < 1:   # a checkpoint may hold 0, but a trial must train
+        raise ConfigError(f"training needs epochs >= 1, got {config.epochs}")
     x_train, y_train = windows_to_arrays(split.train)
     x_test, y_test = windows_to_arrays(split.test)
     if x_train.shape[1] != config.L:
@@ -212,8 +214,10 @@ def repeat_trials(split: DatasetSplit, config: TSTConfig, seeds: list[int],
         raise ConfigError(f"duplicate seeds would repeat one trial: {list(seeds)}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    cores = max(1, getattr(_CORE_BUDGET, "cores", _CORES) // min(jobs, len(seeds)))   # per trial
 
     def run(seed: int) -> TrialReport:
+        _CORE_BUDGET.cores = cores
         model = TSTModel(config, seed=seed)
         return train(model, split, config, seed)
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from tst import tensor as T
 from tst import transformer as tf
+from tst.tokenizer import tokenize
 
 
 def cross_entropy(probs, labels):
@@ -63,3 +64,17 @@ def stack_forward(tokens, stack, *, training=False, p_drop=0.0, rng=None):
         class_tokens.append(T.Tensor(y.data[:, 0, :]))
     feature = T.layer_norm(y[:, 0, :], stack.final_gain, stack.final_bias)
     return feature, class_tokens
+
+
+def unsplit_eval(model, x, batch_size):
+    """Eval-mode logits and per-block class tokens of ``model`` over ``x``,
+    one whole-batch pass per ``batch_size`` rows composed from the model's
+    parts: what its forward over two half-batches must reproduce."""
+    logits, stages = [], []
+    with T.no_grad():
+        for start in range(0, len(x), batch_size):
+            xb = T.Tensor(x[start:start + batch_size], dtype=model.dtype)
+            feature, class_tokens = tf.stack_forward(tokenize(xb, model.tokenizer), model.stack)
+            logits.append(T.add(T.matmul(feature, model.w_head), model.b_head).data)
+            stages.append([t.data for t in class_tokens])
+    return np.concatenate(logits), [np.concatenate(stage) for stage in zip(*stages)]

@@ -3,7 +3,8 @@
 ``bench/tracer.py`` patches package names from outside ``src/`` and reads
 graph internals (``Tape.nodes``, ``_Node.is_leaf``, ``Tensor._vjp``). A name
 it relies on that disappears would only show when the benchmark runs, so
-this drives the tracer over one tiny training epoch. It reads ``bench/``
+this drives the tracer over one tiny training epoch and one evaluation,
+whose forwards run as two half-batches on two threads. It reads ``bench/``
 and changes nothing there.
 """
 
@@ -15,16 +16,22 @@ from tst.model import TSTConfig, TSTModel
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+CFG = TSTConfig(L=16, ns=4, dim=8, dim_mlp=8, d_k=4, heads=2, depth=2, n_class=2,
+                epochs=1, batch_size=4, lr=1e-3)
+
+
+def tiny_split():
+    spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:2])
+    windows = data.generate_synthetic(spec, 6, seed=0, length=CFG.L)
+    return data.split_train_test(windows, 8, 4, seed=0)
+
+
 def test_bench_tracer_sees_training_attention_and_backward(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import macs
     import tracer
 
-    cfg = TSTConfig(L=16, ns=4, dim=8, dim_mlp=8, d_k=4, heads=2, depth=2, n_class=2,
-                    epochs=1, batch_size=4, lr=1e-3)
-    spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:2])
-    windows = data.generate_synthetic(spec, 6, seed=0, length=cfg.L)
-    split = data.split_train_test(windows, 8, 4, seed=0)
+    cfg, split = CFG, tiny_split()
     trace = tracer.Tracer()
     with trace.installed():
         training.train(TSTModel(cfg, seed=0), split, cfg, seed=0)
@@ -34,3 +41,20 @@ def test_bench_tracer_sees_training_attention_and_backward(monkeypatch):
     assert any(name.endswith(".vjp") for name in names)
     metrics = trace.layer_metrics(macs.layer_macs(cfg))
     assert metrics["tensor.tape_nodes"] > 0 and metrics["training.step_s"] > 0
+
+
+def test_bench_tracer_counts_each_evaluated_window_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import macs
+    import tracer
+
+    monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)   # split even these tiny batches
+    x, y = data.windows_to_arrays(tiny_split().train)   # 8 windows: batches of 4 and 3
+    x, y = x[:7], y[:7]
+    trace = tracer.Tracer()
+    with trace.installed():
+        training.evaluate(TSTModel(CFG, seed=0), x, y, CFG.batch_size)
+
+    trace.layer_metrics(macs.layer_macs(CFG))
+    evaluated = [span[4] for span in trace.spans if span[0] == "model.forward[eval]"]
+    assert sum(evaluated) == len(x) and evaluated == [4, 3]

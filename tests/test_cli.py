@@ -252,6 +252,18 @@ def test_train_and_study_reject_negative_seeds(small_dataset, tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", [["train"], ["study", "--trials", "2"]])
+def test_train_and_study_reject_zero_epochs_and_write_nothing(small_dataset, tmp_path, capsys,
+                                                              command):
+    out = tmp_path / "run"
+    code = run(command + ["--data", str(small_dataset), "--out-dir", str(out)]
+               + SMALL_MODEL + ["--epochs", "0"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: training needs epochs >= 1")
+    assert not out.exists()
+
+
 TINY_MODEL = TSTConfig(L=16, ns=4, dim=4, dim_mlp=4, d_k=2, heads=1, depth=1, n_class=2)
 
 
@@ -335,6 +347,63 @@ def test_cli_argv_fuzz_exits_with_a_documented_code_and_one_line(tiny_embed_inpu
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run(argv + paths[argv[0]])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert err.count("\n") <= 1, (argv, err)
+    assert "internal error:" not in err, (argv, err)
+
+
+# train and study: the architecture is tiny, and --epochs and --trials are
+# always given and small when accepted, so each accepted run takes milliseconds.
+# A huge --jobs starts only as many threads as there are trials. Each flag is
+# (accepted values, edges); at most one flag of a run takes an edge, so about
+# half the runs train.
+_COUNT = (st.integers(1, 6), (-1, 0, 13, 2**32))   # the fixture holds 12 windows
+_TRAIN_FLAGS = {
+    "--split-seed": (st.integers(0, 3), (-1, 2**32, 2**64)),
+    "--train-count": _COUNT, "--test-count": _COUNT,
+    "--epochs": (st.integers(1, 2), (-1, 0, 2**32)),
+    "--batch-size": (st.sampled_from([1, 3, 8, 2**32 - 1]), (-1, 0, 2**32)),
+    "--pdrop": (st.floats(0.0, 0.99), (-1e-300, 1.0, *_NON_FINITE)),
+    "--lr": (st.floats(1e-6, 1.0), (0.0, -1.0, 1e308, *_NON_FINITE)),
+}
+_TRAINING_FLAGS = {
+    "train": {"--seed": (st.integers(0, 3), (-1, 2**32, 2**64)), **_TRAIN_FLAGS},
+    "study": {"--trials": (st.integers(1, 3), (-1, 0)),
+              "--base-seed": (st.integers(0, 3), (-1, 2**32, 2**64)),
+              "--jobs": (st.integers(1, 3), (-1, 0, 2**32)), **_TRAIN_FLAGS},
+}
+_TINY_ARCH = [f"--{flag}={value}" for flag, value in (
+    ("length", TINY_MODEL.L), ("ns", TINY_MODEL.ns), ("dim", TINY_MODEL.dim),
+    ("dim-mlp", TINY_MODEL.dim_mlp), ("dk", TINY_MODEL.d_k), ("heads", TINY_MODEL.heads),
+    ("depth", TINY_MODEL.depth), ("classes", TINY_MODEL.n_class))]
+
+
+@st.composite
+def _training_argv(draw):
+    command = draw(st.sampled_from(sorted(_TRAINING_FLAGS)))
+    flags = _TRAINING_FLAGS[command]
+    edge = draw(st.none() | st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, (accepted, edges) in flags.items():
+        if flag == edge:
+            value = draw(st.sampled_from(edges))
+        else:
+            value = draw(accepted if flag in ("--trials", "--epochs") else st.none() | accepted)
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+@FUZZ
+@given(argv=_training_argv())
+def test_train_and_study_argv_fuzz_exits_with_a_documented_code_and_one_line(tiny_embed_inputs,
+                                                                             argv):
+    paths = ["--data", str(tiny_embed_inputs / "set.csv"),
+             "--out-dir", str(tiny_embed_inputs / "fuzz" / argv[0])]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv + _TINY_ARCH + paths)
     err = stderr.getvalue()
     assert code in (0, 2, 3, 4), (argv, err)
     assert err.count("\n") <= 1, (argv, err)

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from tst import data, training
-from tst.errors import ConfigError, TrainingAbort
-from tst.model import TSTConfig, TSTModel
+from oracles import unsplit_eval
+from tst import analysis, data, training
+from tst import model as tstmodel
+from tst.errors import ConfigError, DataError, TrainingAbort
+from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
 from tst.tensor import Tensor
 from tst.training import (AdamState, TrialReport, adam_step, evaluate,
                           lr_at_epoch, repeat_trials, train)
@@ -305,3 +309,201 @@ def test_repeat_trials_validation():
         repeat_trials(split, quick_cfg(), seeds=[5, 5, 5])   # one trial, reported thrice
     with pytest.raises(ConfigError, match="jobs"):
         repeat_trials(split, quick_cfg(), seeds=[1], jobs=0)
+
+
+def test_train_and_study_need_at_least_one_epoch():
+    split = two_class_split()
+    with pytest.raises(ConfigError, match="epochs >= 1"):
+        train(TSTModel(quick_cfg(0), seed=0), split, quick_cfg(0), seed=0)
+    with pytest.raises(ConfigError, match="epochs >= 1"):
+        repeat_trials(split, quick_cfg(0), seeds=[1, 2], jobs=2)
+
+
+# ---------------------------------------------------------------------------
+# eval forwards over two half-batches
+
+SPLIT_CFG = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2, n_class=4)
+
+
+@pytest.fixture
+def small_halves(monkeypatch):
+    """Split every eval batch of two or more rows, however small the model."""
+    monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)
+
+
+def split_model(dtype=np.float32):
+    """A model whose head is not zero, so its logits differ between rows."""
+    model = TSTModel(SPLIT_CFG, seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    model.w_head.data = rng.normal(0, 0.5, model.w_head.shape).astype(dtype)
+    model.b_head.data = rng.normal(0, 0.5, model.b_head.shape).astype(dtype)
+    return model
+
+
+def split_inputs(n=13):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, SPLIT_CFG.L)).astype(np.float32)
+    return x, rng.integers(0, SPLIT_CFG.n_class, n)
+
+
+def as_windows(x, y):
+    return [data.LabeledWindow(samples=row, label=int(label)) for row, label in zip(x, y)]
+
+
+def eval_outputs(model, x, y, batch_size):
+    """evaluate, predict (per batch, as ``tst train`` calls it) and the
+    class-token stages of collect_stage_features, over the same batches."""
+    model.config.batch_size = batch_size
+    stages, _ = analysis.collect_stage_features(model, as_windows(x, y))
+    pred = np.concatenate([model.predict(x[i:i + batch_size])
+                           for i in range(0, len(x), batch_size)])
+    return evaluate(model, x, y, batch_size), pred, stages[1:]
+
+
+def oracle_outputs(model, x, y, batch_size):
+    logits, _ = unsplit_eval(model, x, batch_size)
+    standardized, _ = data.windows_to_arrays(as_windows(x, y))   # as collect_stage_features
+    _, stages = unsplit_eval(model, standardized, batch_size)
+    loss = sum(cross_entropy_from_logits(Tensor(logits[i:i + batch_size]),
+                                         y[i:i + batch_size]).item() * len(y[i:i + batch_size])
+               for i in range(0, len(x), batch_size))
+    pred = np.argmax(logits, axis=1)
+    acc = int(np.sum(pred == y)) / len(x)
+    return (loss / len(x), acc), pred, [s.astype(np.float64) for s in stages]
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 0.0), (np.float64, 1e-12)],
+                         ids=["float32-bitwise", "float64"])
+@pytest.mark.parametrize("batch_size", [1, 7, 8])
+def test_eval_halves_match_unsplit_batches(small_halves, dtype, atol, batch_size):
+    x, y = split_inputs()
+    got_eval, got_pred, got_stages = eval_outputs(split_model(dtype), x, y, batch_size)
+    want_eval, want_pred, want_stages = oracle_outputs(split_model(dtype), x, y, batch_size)
+    assert np.allclose(got_eval, want_eval, rtol=0, atol=atol)
+    assert np.array_equal(got_pred, want_pred)
+    assert all(np.allclose(g, w, rtol=0, atol=atol) for g, w in zip(got_stages, want_stages))
+
+
+@pytest.mark.parametrize("no_worker", ["one-core", "no-blas"])
+def test_eval_outputs_do_not_depend_on_the_worker(small_halves, monkeypatch, no_worker):
+    x, y = split_inputs()
+    with_worker = eval_outputs(split_model(), x, y, 7)
+    if no_worker == "one-core":
+        monkeypatch.setattr(tstmodel, "_CORES", 1)
+    else:
+        monkeypatch.setattr(tstmodel._BLAS_PIN, "usable", False)
+    got_eval, got_pred, got_stages = eval_outputs(split_model(), x, y, 7)
+    assert got_eval == with_worker[0] and np.array_equal(got_pred, with_worker[1])
+    assert all(np.array_equal(g, w) for g, w in zip(got_stages, with_worker[2]))
+
+
+def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves, monkeypatch):
+    calls = []
+    real = TSTModel._forward
+
+    def recording(model, x, training=False, rng=None):
+        calls.append((len(x.data), threading.get_ident()))
+        return real(model, x, training, rng)
+
+    monkeypatch.setattr(TSTModel, "_forward", recording)
+    x, y = split_inputs()
+    evaluate(split_model(), x, y, 7)
+    worker = tstmodel._BLAS_PIN.usable and tstmodel._CORES > 1
+    caller = threading.get_ident()
+    # rows [0, ceil(B/2)) on the calling thread, the rest on the worker if any
+    assert sorted((rows, ident != caller) for rows, ident in calls) == sorted(
+        [(4, False), (3, worker), (3, False), (3, worker)])
+
+
+@pytest.mark.parametrize("rows, halves", [(1023, [1023]), (1024, [512, 512])])
+def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, rows,
+                                                                        halves):
+    # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17
+    assert TSTModel._EVAL_HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
+    calls = []
+    real = TSTModel._forward
+
+    def recording(model, x, training=False, rng=None):
+        calls.append(len(x.data))
+        return real(model, x, training, rng)
+
+    monkeypatch.setattr(TSTModel, "_forward", recording)
+    split_model().predict(np.random.default_rng(0).normal(size=(rows, SPLIT_CFG.L)))
+    assert sorted(calls) == halves
+
+
+def test_evaluate_records_no_graph_on_any_thread(small_halves):
+    model = split_model()
+    x, y = split_inputs()
+    evaluate(model, x, y, 8)
+    assert all(p._node is None for _, p in model.parameters())
+
+
+@pytest.mark.skipif(not tstmodel._BLAS_PIN.usable, reason="numpy's OpenBLAS is not bundled")
+def test_blas_thread_count_is_restored_after_eval_errors_and_studies(small_halves, monkeypatch):
+    pin = tstmodel._BLAS_PIN
+    before = pin.get()
+    model = split_model()
+    x, y = split_inputs()
+    evaluate(model, x, y, 8)
+    assert pin.get() == before
+    bad = x.copy()
+    bad[7, 3] = np.nan   # row 7 of 8 falls in the second half
+    with pytest.raises(DataError, match="non-finite values in model input"):
+        evaluate(model, bad, y, 8)
+    assert pin.get() == before
+    repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=2)
+    assert pin.get() == before
+
+    real = TSTModel._forward
+
+    def second_half_fails(model_, xb, training=False, rng=None):
+        if len(xb.data) == 3:
+            raise RuntimeError("injected")
+        return real(model_, xb, training, rng)
+
+    monkeypatch.setattr(TSTModel, "_forward", second_half_fails)
+    with pytest.raises(RuntimeError, match="injected"):
+        evaluate(model, x[:7], y[:7], 7)
+    assert pin.get() == before and pin.holders == 0
+
+
+@pytest.mark.skipif(not tstmodel._BLAS_PIN.usable, reason="numpy's OpenBLAS is not bundled")
+def test_blas_pin_holds_one_thread_under_many_concurrent_holders():
+    pin = tstmodel._BLAS_PIN
+    before, inside = pin.get(), []
+
+    def hold():
+        for _ in range(200):
+            with pin:
+                inside.append(pin.get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inside) == 8 * 200 and set(inside) == {1}
+    assert pin.holders == 0 and pin.get() == before
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 5])
+def test_study_trials_share_the_cores(monkeypatch, jobs):
+    seen = set()
+    real = TSTModel.forward
+
+    def recording(model, x, training=False, rng=None):
+        if not training:
+            seen.add(getattr(tstmodel._CORE_BUDGET, "cores", tstmodel._CORES))
+        return real(model, x, training, rng)
+
+    monkeypatch.setattr(TSTModel, "forward", recording)
+    cores = tstmodel._CORES
+    repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=jobs)
+    assert seen == {max(1, cores // min(jobs, 2))}
