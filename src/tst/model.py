@@ -21,6 +21,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -150,24 +151,21 @@ class TSTModel:
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
-        """Without training or a graph, a large batch runs as two halves, rows
-        ``[0, ceil(B/2))`` and the rest, the second on a worker thread if a core
-        is free; which thread runs a half never alters the outputs."""
+        """Without training or a graph, and when ``_worker_core_free()``, a large batch runs as
+        rows ``[0, ceil(B/2))`` on the calling thread and the rest on a worker thread."""
         x = T.as_tensor(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.L:
             raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
         if not np.all(np.isfinite(x.data)):
             raise DataError("non-finite values in model input")
         if (training or T._grad_enabled()
-                or len(x.data) // 2 * self.config.ns * self.config.dim < self._EVAL_HALF_MIN):
+                or len(x.data) // 2 * self.config.ns * self.config.dim < self._EVAL_HALF_MIN
+                or not _worker_core_free()):
             return self._forward(x, training, rng)
         half, run = (len(x.data) + 1) // 2, self._eval_rows
-        if _BLAS_PIN.usable and getattr(_CORE_BUDGET, "cores", _CORES) > 1:
-            with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
-                second = pool.submit(run, x.data[half:])
-                first, second = run(x.data[:half]), second.result()
-        else:
-            first, second = run(x.data[:half]), run(x.data[half:])
+        with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
+            second = pool.submit(run, x.data[half:])
+            first, second = run(x.data[:half]), second.result()
         return ForwardResult(Tensor(np.concatenate([first.logits.data, second.logits.data])),
                              [Tensor(np.concatenate([a.data, b.data]))
                               for a, b in zip(first.class_tokens, second.class_tokens)])
@@ -192,7 +190,23 @@ class TSTModel:
 
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_CORE_BUDGET = threading.local()   # repeat_trials sets ``cores``, each trial thread's share
+_TRIALS = threading.local()   # ``count``: the trials running at once, set by concurrent_trials
+
+
+@contextmanager
+def concurrent_trials(count: int):
+    """Marks the calling thread as running one of ``count`` trials at once."""
+    _TRIALS.count = count
+    try:
+        yield
+    finally:
+        del _TRIALS.count
+
+
+def _worker_core_free() -> bool:
+    """The measured setup only: two cores, no other trial beside this one, and OpenBLAS
+    allowed more than one thread. On more cores (not measured) batches stay whole."""
+    return _CORES == 2 and getattr(_TRIALS, "count", 1) == 1 and _BLAS_PIN.threads() > 1
 
 
 class _BlasPin:
@@ -208,6 +222,11 @@ class _BlasPin:
         if self.usable:   # int openblas_get_num_threads(void), void openblas_set_num_threads(int)
             self.get.argtypes, self.get.restype = [], ctypes.c_int
             self.set.argtypes, self.set.restype = [ctypes.c_int], None
+
+    def threads(self) -> int:
+        """OpenBLAS's thread count as set outside any pin; 1 without the library."""
+        with self.lock:
+            return 1 if not self.usable else self.saved if self.holders else self.get()
 
     def __enter__(self):
         with self.lock:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DatasetSplit, windows_to_arrays
 from .errors import ConfigError, TrainingAbort
-from .model import _CORE_BUDGET, _CORES, TSTConfig, TSTModel, cross_entropy_from_logits
+from .model import TSTConfig, TSTModel, concurrent_trials, cross_entropy_from_logits
 from .tensor import Tensor, backward, no_grad
 
 
@@ -214,12 +214,11 @@ def repeat_trials(split: DatasetSplit, config: TSTConfig, seeds: list[int],
         raise ConfigError(f"duplicate seeds would repeat one trial: {list(seeds)}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    cores = max(1, getattr(_CORE_BUDGET, "cores", _CORES) // min(jobs, len(seeds)))   # per trial
 
     def run(seed: int) -> TrialReport:
-        _CORE_BUDGET.cores = cores
-        model = TSTModel(config, seed=seed)
-        return train(model, split, config, seed)
+        with concurrent_trials(min(jobs, len(seeds))):
+            model = TSTModel(config, seed=seed)
+            return train(model, split, config, seed)
 
     results: dict[int, TrialReport] = {}
     failures: dict[int, str] = {}

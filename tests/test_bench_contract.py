@@ -4,13 +4,15 @@
 graph internals (``Tape.nodes``, ``_Node.is_leaf``, ``Tensor._vjp``). A name
 it relies on that disappears would only show when the benchmark runs, so
 this drives the tracer over one tiny training epoch and one evaluation,
-whose forwards run as two half-batches on two threads. It reads ``bench/``
+whose forwards run as two half-batches on two threads (where numpy's
+bundled OpenBLAS allows more than one thread). It reads ``bench/``
 and changes nothing there.
 """
 
 from pathlib import Path
 
 from tst import data, training
+from tst import model as tstmodel
 from tst.model import TSTConfig, TSTModel
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -49,6 +51,7 @@ def test_bench_tracer_counts_each_evaluated_window_once(monkeypatch):
     import tracer
 
     monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)   # split even these tiny batches
+    monkeypatch.setattr(tstmodel, "_CORES", 2)   # on two threads, as on a host of two cores
     x, y = data.windows_to_arrays(tiny_split().train)   # 8 windows: batches of 4 and 3
     x, y = x[:7], y[:7]
     trace = tracer.Tracer()

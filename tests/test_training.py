@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -325,10 +326,30 @@ def test_train_and_study_need_at_least_one_epoch():
 SPLIT_CFG = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2, n_class=4)
 
 
+# the worker needs numpy's bundled OpenBLAS, allowed more than one thread
+needs_worker = pytest.mark.skipif(tstmodel._BLAS_PIN.threads() < 2,
+                                  reason="numpy's OpenBLAS is not bundled or runs one thread")
+
+
 @pytest.fixture
 def small_halves(monkeypatch):
-    """Split every eval batch of two or more rows, however small the model."""
+    """Split every eval batch of two or more rows, however small the model,
+    as on a host of two cores."""
     monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """(rows, ran on another thread) of every whole-batch pass, in call order."""
+    calls, caller, real = [], threading.get_ident(), TSTModel._forward
+
+    def recording(model, x, training=False, rng=None):
+        calls.append((len(x.data), threading.get_ident() != caller))
+        return real(model, x, training, rng)
+
+    monkeypatch.setattr(TSTModel, "_forward", recording)
+    return calls
 
 
 def split_model(dtype=np.float32):
@@ -384,52 +405,67 @@ def test_eval_halves_match_unsplit_batches(small_halves, dtype, atol, batch_size
     assert all(np.allclose(g, w, rtol=0, atol=atol) for g, w in zip(got_stages, want_stages))
 
 
-@pytest.mark.parametrize("no_worker", ["one-core", "no-blas"])
-def test_eval_outputs_do_not_depend_on_the_worker(small_halves, monkeypatch, no_worker):
+@contextmanager
+def without_worker(kind, monkeypatch):
+    """A setup in which ``_worker_core_free()`` is false, the ``kind`` way."""
+    pin = tstmodel._BLAS_PIN
+    if kind == "one-core":
+        monkeypatch.setattr(tstmodel, "_CORES", 1)
+    elif kind == "four-cores":   # more cores than were measured
+        monkeypatch.setattr(tstmodel, "_CORES", 4)
+    elif kind == "no-blas":
+        monkeypatch.setattr(pin, "usable", False)
+    if kind == "two-trials":
+        with tstmodel.concurrent_trials(2):
+            yield
+    elif kind == "one-blas-thread":
+        if not pin.usable:
+            pytest.skip("numpy's OpenBLAS is not bundled")
+        before = pin.get()
+        pin.set(1)
+        try:
+            yield
+            assert pin.get() == 1   # the limit the caller set still holds
+        finally:
+            pin.set(before)
+    else:
+        yield
+
+
+@pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "one-blas-thread",
+                                  "two-trials"])
+def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
+        small_halves, monkeypatch, forward_calls, kind):
     x, y = split_inputs()
     with_worker = eval_outputs(split_model(), x, y, 7)
-    if no_worker == "one-core":
-        monkeypatch.setattr(tstmodel, "_CORES", 1)
-    else:
-        monkeypatch.setattr(tstmodel._BLAS_PIN, "usable", False)
-    got_eval, got_pred, got_stages = eval_outputs(split_model(), x, y, 7)
+    forward_calls.clear()
+    with without_worker(kind, monkeypatch):
+        assert not tstmodel._worker_core_free()
+        got_eval, got_pred, got_stages = eval_outputs(split_model(), x, y, 7)
     assert got_eval == with_worker[0] and np.array_equal(got_pred, with_worker[1])
     assert all(np.array_equal(g, w) for g, w in zip(got_stages, with_worker[2]))
+    # collect_stage_features, predict and evaluate each pass batches of 7 and 6 rows
+    assert sorted(forward_calls) == [(6, False)] * 3 + [(7, False)] * 3
 
 
-def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves, monkeypatch):
-    calls = []
-    real = TSTModel._forward
-
-    def recording(model, x, training=False, rng=None):
-        calls.append((len(x.data), threading.get_ident()))
-        return real(model, x, training, rng)
-
-    monkeypatch.setattr(TSTModel, "_forward", recording)
+@needs_worker
+def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
+                                                                   forward_calls):
     x, y = split_inputs()
     evaluate(split_model(), x, y, 7)
-    worker = tstmodel._BLAS_PIN.usable and tstmodel._CORES > 1
-    caller = threading.get_ident()
-    # rows [0, ceil(B/2)) on the calling thread, the rest on the worker if any
-    assert sorted((rows, ident != caller) for rows, ident in calls) == sorted(
-        [(4, False), (3, worker), (3, False), (3, worker)])
+    # rows [0, ceil(B/2)) on the calling thread, the rest on the worker
+    assert sorted(forward_calls) == [(3, False), (3, True), (3, True), (4, False)]
 
 
+@needs_worker
 @pytest.mark.parametrize("rows, halves", [(1023, [1023]), (1024, [512, 512])])
-def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, rows,
-                                                                        halves):
+def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, forward_calls,
+                                                                        rows, halves):
     # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17
     assert TSTModel._EVAL_HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
-    calls = []
-    real = TSTModel._forward
-
-    def recording(model, x, training=False, rng=None):
-        calls.append(len(x.data))
-        return real(model, x, training, rng)
-
-    monkeypatch.setattr(TSTModel, "_forward", recording)
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
     split_model().predict(np.random.default_rng(0).normal(size=(rows, SPLIT_CFG.L)))
-    assert sorted(calls) == halves
+    assert sorted(rows for rows, _ in forward_calls) == halves
 
 
 def test_evaluate_records_no_graph_on_any_thread(small_halves):
@@ -439,7 +475,7 @@ def test_evaluate_records_no_graph_on_any_thread(small_halves):
     assert all(p._node is None for _, p in model.parameters())
 
 
-@pytest.mark.skipif(not tstmodel._BLAS_PIN.usable, reason="numpy's OpenBLAS is not bundled")
+@needs_worker
 def test_blas_thread_count_is_restored_after_eval_errors_and_studies(small_halves, monkeypatch):
     pin = tstmodel._BLAS_PIN
     before = pin.get()
@@ -494,16 +530,17 @@ def test_blas_pin_holds_one_thread_under_many_concurrent_holders():
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 5])
-def test_study_trials_share_the_cores(monkeypatch, jobs):
+def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
     seen = set()
     real = TSTModel.forward
 
     def recording(model, x, training=False, rng=None):
         if not training:
-            seen.add(getattr(tstmodel._CORE_BUDGET, "cores", tstmodel._CORES))
+            seen.add((tstmodel._TRIALS.count, tstmodel._worker_core_free()))
         return real(model, x, training, rng)
 
     monkeypatch.setattr(TSTModel, "forward", recording)
-    cores = tstmodel._CORES
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    free = tstmodel._worker_core_free()
     repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=jobs)
-    assert seen == {max(1, cores // min(jobs, 2))}
+    assert seen == {(min(jobs, 2), free and jobs == 1)}
