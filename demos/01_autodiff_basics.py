@@ -23,9 +23,9 @@ hidden = T.gelu(T.add(T.matmul(x, w), b))
 loss = T.mean(T.mul(hidden, hidden))
 print(f"x {x.shape} @ w {w.shape} + b -> gelu -> mean(h*h) = {loss.item():.6f}")
 
-backward(loss)
-print(f"dloss/dw row 0: {w.grad[0]}")
-print(f"dloss/db:       {b.grad}")
+gx, gw, gb = backward(loss, [x, w, b])
+print(f"dloss/dw row 0: {gw[0]}")
+print(f"dloss/db:       {gb}")
 
 print("\n== checking the analytic gradients against central differences ==")
 
@@ -37,13 +37,13 @@ def forward(arrays):
 
 
 numeric = numerical_grads(forward, [x.data, w.data, b.data], h=1e-4)
-for name, analytic, num in zip("xwb", [x.grad, w.grad, b.grad], numeric):
+for name, analytic, num in zip("xwb", [gx, gw, gb], numeric):
     print(f"max relative error d/d{name}: {max_rel_error(analytic, num):.2e}")
 
 print("\n== shared subexpressions accumulate ==")
 z = Tensor(np.array([1.5, -0.5]), requires_grad=True)
-backward(T.tsum(T.mul(z, z)))      # z**2 built as z*z
-print(f"grad of sum(z*z) at {z.data} -> {z.grad} (expected {2 * z.data})")
+(gz,) = backward(T.tsum(T.mul(z, z)), [z])      # z**2 built as z*z
+print(f"grad of sum(z*z) at {z.data} -> {gz} (expected {2 * z.data})")
 
 print("\n== softmax stability ==")
 s = T.softmax(Tensor([1000.0, 0.0]), axis=-1)

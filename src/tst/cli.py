@@ -165,6 +165,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_study(args) -> int:
+    _require_at_least(args, 1, "trials", "jobs")   # before --trials sizes the seed list
     cfg = resolve_config(args)
     out_dir = Path(args.out_dir)
     split = _load_split(args, cfg)

@@ -145,10 +145,6 @@ class TSTModel:
                       ("final.bias", self.stack.final_bias),
                       ("head.w", self.w_head), ("head.b", self.b_head)]
 
-    def zero_grad(self):
-        for _, p in self.parameters():
-            p.grad = None
-
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
         """Without training or a graph, and when ``_worker_core_free()``, a large batch runs as

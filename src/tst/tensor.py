@@ -4,14 +4,14 @@ Every other module in the package composes the primitives defined here.
 A ``Tensor`` wraps a contiguous row-major numpy array. Operations compute
 their result eagerly and, when any input participates in gradients, give
 it a graph vertex, a ``_Node``: the parents' nodes and a pullback closure
-that maps the output adjoint to input adjoints. ``backward()`` on a scalar
-result builds a ``Tape`` (the reverse-topological schedule of recorded
-nodes) and replays the pullbacks, accumulating ``grad`` on every
-``requires_grad`` leaf.
+that maps the output adjoint to input adjoints. A ``requires_grad`` leaf
+gets its node, one with neither parents nor pullback, when it is built.
+``backward(loss, wrt)`` builds a ``Tape`` (the reverse-topological schedule
+of recorded nodes), replays the pullbacks and returns the gradient of each
+tensor in ``wrt``; it writes no tensor.
 
-A node keeps only what its pullback reads. It holds no tensor, except
-that a ``requires_grad`` leaf's node holds the leaf that receives
-``grad``; each pullback binds the arrays, shapes and flags its formula
+A node keeps only what its pullback reads. It holds no tensor: each
+pullback binds the arrays, shapes and flags its formula
 uses (a matmul keeps its operands, an add only their shapes, ``gelu`` its
 derivative). So an intermediate value no pullback reads is freed as soon
 as the forward drops its tensor, not when backward reaches it.
@@ -22,8 +22,8 @@ it.
 A graph can be backpropagated once. Backward releases it as it goes: each
 interior node drops its parents and its pullback (and with them every
 array the pullback kept) right after use, so a second ``backward``
-through the same nodes raises ``ValueError``. Build the loss again to
-accumulate a second gradient.
+through the same nodes raises ``ValueError``. Build the loss again for a
+second gradient.
 
 Values default to float32; pass float64 arrays (or ``dtype=np.float64``)
 when finite-difference tolerances demand it. Tensors are treated as
@@ -73,32 +73,35 @@ class _Node:
     """A vertex of the recorded graph.
 
     ``_parents`` lines up with the pullback's outputs: one entry per op
-    input, ``None`` where no gradient flows. A leaf node has no pullback
-    and holds the ``requires_grad`` tensor its adjoint accumulates into.
+    input, ``None`` where no gradient flows. A leaf node, built with its
+    ``requires_grad`` tensor, has no parents and no pullback; backward
+    returns the adjoint that reaches it.
     """
 
-    __slots__ = ("_parents", "_vjp", "tensor")
+    __slots__ = ("_parents", "_vjp")
 
-    def __init__(self, parents: tuple, vjp, tensor: Tensor | None = None):
+    def __init__(self, parents: tuple, vjp):
         self._parents = parents
         self._vjp = vjp
-        self.tensor = tensor
 
     def is_leaf(self) -> bool:
         return self._vjp is None
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._node: _Node | None = None
+        self._node: _Node | None = _Node((), None) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        """A leaf built with ``requires_grad``, or an op result with a node."""
+        return self._node is not None
 
     @property
     def _vjp(self):
@@ -184,23 +187,13 @@ def _records(*inputs: Tensor) -> bool:
     return _grad_enabled() and any(t.requires_grad for t in inputs)
 
 
-def _grad_node(t: Tensor) -> _Node | None:
-    """The node adjoints reach ``t`` through: its op's node, a leaf node
-    made on first use for a ``requires_grad`` leaf, else None. A leaf and
-    its node refer to each other; leaves are mostly long-lived parameters."""
-    if t._node is None and t.requires_grad:
-        t._node = _Node((), None, t)
-    return t._node
-
-
 def _result(data, parents, vjp) -> Tensor:
     """Wrap an op result, recording the graph node only when needed. ``vjp``
     must bind arrays, shapes and flags, never a ``Tensor``: the node keeps
     exactly what the closure holds."""
-    if not _records(*parents):
-        return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._node = _Node(tuple(_grad_node(p) for p in parents), vjp)
+    out = Tensor(data)
+    if _records(*parents):
+        out._node = _Node(tuple(p._node for p in parents), vjp)
     return out
 
 
@@ -225,7 +218,7 @@ class Tape:
     """
 
     def __init__(self, root: Tensor):
-        self._root = _grad_node(root)
+        self._root = root._node
         self._dtype = root.dtype
         order: list[_Node] = []
         seen: set[int] = set()
@@ -247,43 +240,47 @@ class Tape:
     def nodes(self) -> list[_Node]:
         return list(self._order)
 
-    def run_backward(self, seed: np.ndarray):
-        """Push ``seed`` back through the schedule, releasing the graph as it
-        goes: each interior node is popped, pulled back once, then cut from
-        its parents and its pullback, so every intermediate the forward kept
-        is freed as soon as backward no longer needs it."""
-        adjoints: dict[int, np.ndarray] = {id(self._root): np.asarray(seed, dtype=self._dtype)}
+    def run_backward(self, seed: np.ndarray) -> dict[_Node, np.ndarray]:
+        """Push ``seed`` back through the schedule and return the adjoint of
+        every leaf node it reaches, keyed by the node. The graph is released
+        as backward goes: each interior node is popped, pulled back once,
+        then cut from its parents and its pullback, so every intermediate the
+        forward kept is freed as soon as backward no longer needs it."""
+        adjoints: dict[_Node, np.ndarray] = {self._root: np.asarray(seed, dtype=self._dtype)}
         order = self._order
         while order:
             node = order.pop()
-            g = adjoints.pop(id(node), None)
             if node._vjp is None:
-                if g is not None:
-                    # leaf: accumulate (repeated backward calls add up until grad is reset)
-                    leaf = node.tensor
-                    leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
-                continue
+                continue   # a leaf: its adjoint is complete and stays in ``adjoints``
+            g = adjoints.pop(node, None)
             parents = node._parents
             pgs = node._vjp(g) if g is not None else ()
             node._parents, node._vjp = (), _released
             for parent, pg in zip(parents, pgs):
                 if pg is None or parent is None:
                     continue
-                acc = adjoints.get(id(parent))
-                adjoints[id(parent)] = pg if acc is None else acc + pg
+                acc = adjoints.get(parent)
+                adjoints[parent] = pg if acc is None else acc + pg
+        return adjoints
 
 
 def _released(g):
     raise ValueError("graph already released by backward()")
 
 
-def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad leaf that ``loss`` depends on."""
+def backward(loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | None]:
+    """The gradient of the scalar ``loss`` with respect to each leaf tensor
+    in ``wrt``, in order, or ``None`` where ``loss`` does not depend on it.
+    Writes no tensor; two gradients may share one array, so treat them as
+    read-only."""
     if loss.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward() on a tensor with no gradient path (no requires_grad inputs)")
-    Tape(loss).run_backward(np.ones(loss.shape, dtype=loss.dtype))
+    if any(t._vjp is not None for t in wrt):
+        raise ValueError("backward() returns gradients of leaf tensors only")
+    grads = Tape(loss).run_backward(np.ones(loss.shape, dtype=loss.dtype))
+    return [grads.get(t._node) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

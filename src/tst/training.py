@@ -189,9 +189,7 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
                 raise TrainingAbort(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            model.zero_grad()
-            backward(loss)
-            adam_step(params, [p.grad for p in params], state, lr, names)
+            adam_step(params, backward(loss, params), state, lr, names)
             epoch_loss += value * len(xb)
             epoch_correct += int(np.sum(np.argmax(result.logits.data, axis=1) == yb))
 

@@ -23,8 +23,7 @@ def op_grad_check(build, arrays, h=1e-4, seed=99):
 
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     loss = T.tsum(T.mul(build(inputs), Tensor(weights)))
-    backward(loss)
-    analytic = [p.grad for p in inputs]
+    analytic = backward(loss, inputs)
     numeric = numerical_grads(scalar, arrays, h=h)
     return max_rel_error(analytic, numeric)
 

@@ -3,13 +3,16 @@
 ``bench/tracer.py`` patches package names from outside ``src/`` and reads
 graph internals (``Tape.nodes``, ``_Node.is_leaf``, ``Tensor._vjp``). A name
 it relies on that disappears would only show when the benchmark runs, so
-this drives the tracer over one tiny training epoch and one evaluation,
-whose forwards run as two half-batches on two threads (where numpy's
-bundled OpenBLAS allows more than one thread). It reads ``bench/``
-and changes nothing there.
+this drives the tracer over one tiny training epoch, whose Adam steps use
+the gradients ``Tape.run_backward`` returns through the tracer's wrapper,
+and one evaluation, whose forwards run as two half-batches on two threads
+(where numpy's bundled OpenBLAS allows more than one thread). It reads
+``bench/`` and changes nothing there.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 from tst import data, training
 from tst import model as tstmodel
@@ -34,15 +37,21 @@ def test_bench_tracer_sees_training_attention_and_backward(monkeypatch):
     import tracer
 
     cfg, split = CFG, tiny_split()
+    model = TSTModel(cfg, seed=0)
+    initial = {name: p.data.copy() for name, p in model.parameters()}
     trace = tracer.Tracer()
     with trace.installed():
-        training.train(TSTModel(cfg, seed=0), split, cfg, seed=0)
+        training.train(model, split, cfg, seed=0)
 
     names = {span[0] for span in trace.spans}
     assert {"training.train", "transformer.multi_head", "tensor.Tape.run_backward"} <= names
     assert any(name.endswith(".vjp") for name in names)
     metrics = trace.layer_metrics(macs.layer_macs(cfg))
     assert metrics["tensor.tape_nodes"] > 0 and metrics["training.step_s"] > 0
+    # the wrapped run_backward passed every parameter's gradient on to Adam
+    for name, p in model.parameters():
+        assert np.all(np.isfinite(p.data)), name
+        assert not np.array_equal(p.data, initial[name]), name
 
 
 def test_bench_tracer_counts_each_evaluated_window_once(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FUZZ
+from conftest import FUZZ, call_bounded
 from tst import cli, data
 from tst.model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
@@ -160,6 +160,16 @@ def test_study_with_every_trial_aborted_exits_4(small_dataset, tmp_path, capsys)
     assert [l.split(",")[1] for l in lines[1:3]] == ["0", "1"]
     assert all(",nan,failed: non-finite" in l for l in lines[1:3])
     assert lines[-1] == "summary,trials=0,top_acc=nan,min_acc=nan,avg_acc=nan,std=nan"
+
+
+def test_study_checks_trials_and_jobs_before_any_work(small_dataset, tmp_path, capsys):
+    out = tmp_path / "study"
+    argv = ["study", "--data", str(small_dataset), "--trials", "3000000", "--jobs", "0",
+            "--out-dir", str(out)] + SMALL_MODEL
+    # a list of 3e6 seeds alone would take some 100 MB
+    assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --jobs must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_unexpected_exception_is_one_line_exit_4(monkeypatch, capsys):

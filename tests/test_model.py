@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,8 +129,47 @@ def test_training_forward_pullbacks_hold_no_tensor(rng):
     assert len(pullbacks) > 30
     assert not any(isinstance(v, Tensor) for fn in pullbacks for v in _bound_values(fn))
     # the leaves are exactly the parameters, each once
-    leaves = [node.tensor for node in nodes if node.is_leaf()]
-    assert sorted(map(id, leaves)) == sorted(id(p) for _, p in model.parameters())
+    leaves = [node for node in nodes if node.is_leaf()]
+    assert sorted(map(id, leaves)) == sorted(id(p._node) for _, p in model.parameters())
+
+
+def test_concurrent_backward_matches_serial_and_mutates_no_parameter():
+    model = TSTModel(TSTConfig(**{**TINY, "depth": 2}), seed=8, dtype=np.float64)
+    # the zero head would stop every gradient at the head
+    model.w_head.data = np.random.default_rng(9).normal(0.0, 0.3, size=model.w_head.shape)
+    params = [p for _, p in model.parameters()]
+    # one loss per thread, more threads than this host's two cores
+    rngs = [np.random.default_rng(s) for s in range(10, 14)]
+    batches = [(r.normal(size=(6, 32)), r.integers(0, 10, 6)) for r in rngs]
+    before = [(p.data, p.data.copy(), p._node) for p in params]
+
+    def gradients(x, labels):
+        loss = cross_entropy_from_logits(model.forward(x).logits, labels)
+        assert loss.dtype == np.float64
+        return backward(loss, params)
+
+    serial = [gradients(*batch) for batch in batches]
+    start = threading.Barrier(len(batches))
+
+    def run(batch):
+        start.wait(timeout=60)
+        return gradients(*batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, so backward passes interleave
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                concurrent = list(pool.map(run, batches, timeout=120))
+            for got, want in zip(concurrent, serial):
+                assert all(g is not None for g in got)
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    finally:
+        sys.setswitchinterval(interval)
+    for p, (data, copy, node) in zip(params, before):
+        assert p.data is data and np.array_equal(p.data, copy)
+        assert p._node is node and node.is_leaf() and node._parents == ()
 
 
 def test_predict_matches_forward(rng):
@@ -217,9 +259,7 @@ def test_single_adam_step_decreases_batch_loss(rng):
     labels = np.array([0, 1, 2, 3])
     params = [p for _, p in model.parameters()]
     before = cross_entropy_from_logits(model.forward(x).logits, labels)
-    model.zero_grad()
-    backward(before)
-    adam_step(params, [p.grad for p in params], AdamState.init(params), lr=1e-6)
+    adam_step(params, backward(before, params), AdamState.init(params), lr=1e-6)
     after = cross_entropy_from_logits(model.forward(x).logits, labels)
     assert after.item() < before.item()
 

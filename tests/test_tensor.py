@@ -107,31 +107,28 @@ def test_dropout_validation():
 
 def test_backward_on_leaf():
     x = Tensor(np.array(4.0), requires_grad=True)
-    backward(x)
-    assert x.grad == 1.0
+    assert backward(x, [x]) == [1.0]
 
 
 def test_backward_product_rule():
     x = Tensor(np.array(2.0), requires_grad=True)
     y = Tensor(np.array(3.0), requires_grad=True)
-    backward(T.mul(x, y))
-    assert x.grad == 3.0 and y.grad == 2.0
+    assert backward(T.mul(x, y), [x, y]) == [3.0, 2.0]
 
 
 def test_backward_shared_subexpression_sums():
     x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    backward(T.tsum(T.mul(x, x)))  # d/dx sum(x*x) = 2x
-    np.testing.assert_allclose(x.grad, 2.0 * x.data)
+    (gx,) = backward(T.tsum(T.mul(x, x)), [x])  # d/dx sum(x*x) = 2x
+    np.testing.assert_allclose(gx, 2.0 * x.data)
 
 
-def test_backward_accumulates_until_reset():
-    x = Tensor(np.array(1.0), requires_grad=True)
-    backward(T.mul(x, 3.0))
-    backward(T.mul(x, 3.0))   # a graph backpropagates once, so build the loss again
-    assert x.grad == 6.0
-    x.grad = None
-    backward(T.mul(x, 3.0))
-    assert x.grad == 3.0
+def test_backward_returns_none_where_the_loss_does_not_depend():
+    x = Tensor(np.array(2.0), requires_grad=True)
+    unused = Tensor(np.array(5.0), requires_grad=True)
+    constant = Tensor(np.array(7.0))
+    assert backward(T.mul(x, 3.0), [unused, x, constant]) == [None, 3.0, None]
+    # nothing accumulates: a second loss gives its own gradient alone
+    assert backward(T.mul(x, 3.0), [x]) == [3.0]
 
 
 def test_backward_releases_the_graph(rng):
@@ -140,27 +137,31 @@ def test_backward_releases_the_graph(rng):
     loss = T.tsum(T.gelu(T.matmul(T.layer_norm(x, np.ones(4), np.zeros(4)), w)))
     interior = [node for node in Tape(loss).nodes() if not node.is_leaf()]
     assert len(interior) == 4
-    backward(loss)
+    gx, gw = backward(loss, [x, w])
     assert all(node._parents == () and not node.is_leaf() for node in interior)
-    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert gx.shape == x.shape and gw.shape == w.shape
 
 
 def test_second_backward_through_a_graph_raises(rng):
     x = Tensor(rng.normal(size=3), requires_grad=True)
     hidden = T.mul(x, x)
-    backward(T.tsum(hidden))
+    (gx,) = backward(T.tsum(hidden), [x])
     with pytest.raises(ValueError, match="released"):
-        backward(T.tsum(hidden))   # a new root over the released node
+        backward(T.tsum(hidden), [x])   # a new root over the released node
     with pytest.raises(ValueError, match="released"):
-        backward(T.tsum(T.mul(hidden, 2.0)))
-    np.testing.assert_allclose(x.grad, 2.0 * x.data)   # the first pass alone
+        backward(T.tsum(T.mul(hidden, 2.0)), [x])
+    np.testing.assert_allclose(gx, 2.0 * x.data)
 
 
 def test_backward_usage_errors():
+    x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(T.mul(Tensor(np.ones(3), requires_grad=True), 2.0))
-    with pytest.raises(ValueError):
-        backward(Tensor(np.array(1.0)))  # no gradient path
+        backward(T.mul(x, 2.0), [x])
+    with pytest.raises(ValueError, match="no gradient path"):
+        backward(Tensor(np.array(1.0)), [x])
+    hidden = T.mul(x, 2.0)
+    with pytest.raises(ValueError, match="leaf tensors only"):
+        backward(T.tsum(hidden), [hidden])
 
 
 def test_tape_visits_each_node_once_in_topo_order(rng):
@@ -176,7 +177,7 @@ def test_tape_visits_each_node_once_in_topo_order(rng):
         for p in n._parents:
             if p is not None:
                 assert pos[id(p)] < pos[id(n)]
-    assert [n.tensor for n in nodes if n.is_leaf()] == [x]
+    assert [n for n in nodes if n.is_leaf()] == [x._node]
 
 
 @pytest.mark.parametrize("consumer,reads_input", [
@@ -192,9 +193,9 @@ def test_value_is_kept_only_while_a_pullback_reads_it(consumer, reads_input, rng
     loss = T.tsum(consumer(hidden, w))
     del hidden
     assert (value() is not None) == reads_input
-    backward(loss)
+    gx, gw = backward(loss, [x, w])
     assert value() is None
-    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert gx.shape == x.shape and gw.shape == w.shape
 
 
 def test_finite_outputs_on_finite_inputs(rng):
@@ -270,10 +271,10 @@ def test_grad_gather_rows(rng):
 def test_grad_dropout_mask_is_scaled_passthrough():
     x = Tensor(np.ones((200,), dtype=np.float64), requires_grad=True)
     out = T.dropout(x, 0.25, training=True, rng=np.random.default_rng(3))
-    backward(T.tsum(out))
+    (gx,) = backward(T.tsum(out), [x])
     survivors = out.data != 0
-    np.testing.assert_allclose(x.grad[survivors], 1.0 / 0.75)
-    np.testing.assert_allclose(x.grad[~survivors], 0.0)
+    np.testing.assert_allclose(gx[survivors], 1.0 / 0.75)
+    np.testing.assert_allclose(gx[~survivors], 0.0)
 
 
 def test_float32_graph_stays_float32(rng):
@@ -288,8 +289,7 @@ def test_no_grad_blocks_recording(rng):
         out = T.mul(x, 2.0)
         assert not out.requires_grad and out._node is None
         with pytest.raises(ValueError):
-            backward(T.tsum(out))
+            backward(T.tsum(out), [x])
     # recording resumes outside the context
-    out = T.tsum(T.mul(x, 2.0))
-    backward(out)
-    np.testing.assert_allclose(x.grad, 2.0)
+    (gx,) = backward(T.tsum(T.mul(x, 2.0)), [x])
+    np.testing.assert_allclose(gx, 2.0)

@@ -12,6 +12,7 @@ import pytest
 from oracles import unsplit_eval
 from tst import analysis, data, training
 from tst import model as tstmodel
+from tst import tensor as T
 from tst.errors import ConfigError, DataError, TrainingAbort
 from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
 from tst.tensor import Tensor
@@ -468,11 +469,21 @@ def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypat
     assert sorted(rows for rows, _ in forward_calls) == halves
 
 
-def test_evaluate_records_no_graph_on_any_thread(small_halves):
+def test_evaluate_records_no_graph_on_any_thread(small_halves, forward_calls, monkeypatch):
     model = split_model()
     x, y = split_inputs()
+    made, real = [], T._Node
+
+    def counting(parents, vjp):
+        made.append(threading.get_ident())
+        return real(parents, vjp)
+
+    monkeypatch.setattr(T, "_Node", counting)
     evaluate(model, x, y, 8)
-    assert all(p._node is None for _, p in model.parameters())
+    assert made == [] and sorted(rows for rows, _ in forward_calls) == [2, 3, 4, 4]
+    # the counter does see a recorded graph
+    model.forward(x[:2])
+    assert made
 
 
 @needs_worker

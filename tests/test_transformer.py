@@ -115,8 +115,8 @@ def test_self_attention_matches_composed_oracle(rng, heads, queries):
     for attend in (T.self_attention, self_attention):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         out, maps = attend(*inputs, heads, return_weights=True, queries=queries)
-        backward(T.tsum(T.mul(out, weighting)))
-        results.append([out.data, maps] + [t.grad for t in inputs])
+        grads = backward(T.tsum(T.mul(out, weighting)), inputs)
+        results.append([out.data, maps] + grads)
     for fused, composed in zip(*results):
         np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
 
@@ -166,9 +166,9 @@ def test_block_gradients_match_finite_differences(rng):
              "ln2_gain", "ln2_bias", "w1", "b1", "w2", "b2"]
 
     loss = T.tsum(tf.block_forward(Tensor(x), params))
-    backward(loss)
+    grads = backward(loss, [getattr(params, name) for name in names])
     worst = 0.0
-    for name in names:
+    for name, grad in zip(names, grads):
         p = getattr(params, name)
 
         def f(arrays, p=p):
@@ -180,7 +180,7 @@ def test_block_gradients_match_finite_differences(rng):
                 p.data = saved
 
         num = numerical_grads(f, [p.data])[0]
-        worst = max(worst, max_rel_error(p.grad, num))
+        worst = max(worst, max_rel_error(grad, num))
     assert worst < 1e-3
 
 
@@ -286,12 +286,11 @@ def test_class_only_last_block_matches_all_rows_oracle(depth, pos, monkeypatch):
             return out
 
         monkeypatch.setattr(tstmodel, "stack_forward", capture)
-        model.zero_grad()
         result = model.forward(x, training=True, rng=np.random.default_rng(0))
-        backward(cross_entropy_from_logits(result.logits, labels))
+        params = [p for _, p in model.parameters()]
         runs.append([features[0], result.logits.data]
                     + [t.data for t in result.class_tokens]
-                    + [p.grad for _, p in model.parameters()])
+                    + backward(cross_entropy_from_logits(result.logits, labels), params))
     assert len(runs[0]) == 2 + depth + len(model.parameters())
     for got, want in zip(*runs):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
