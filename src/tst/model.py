@@ -14,6 +14,7 @@ them through log-sum-exp.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 import numbers
@@ -21,7 +22,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -109,6 +110,7 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(TSTConfig) if f.type == "float")
 class ForwardResult(NamedTuple):
     logits: Tensor         # (B, n_class)
     class_tokens: list     # per-block (B, dim) class tokens, detached
+    shards: tuple          # the logits of each row shard, in row order: one or two
 
 
 class TSTModel:
@@ -119,9 +121,13 @@ class TSTModel:
     aligned across runs.
     """
 
-    # rows x ns x dim of an eval batch's smaller half below which the batch stays whole: at
-    # desk size a worker lost to OpenBLAS's helper thread, still spinning after training's GEMMs
-    _EVAL_HALF_MIN = 2**17
+    # rows x ns x dim of a half batch below which batches run whole. Training reads the
+    # config's batch size, so that every step of a trial records the same graphs; eval reads
+    # the batch's smaller half. Below it two threads did not reliably gain on a 2-core host:
+    # an eval worker lost time to OpenBLAS's helper thread, still spinning after GEMMs; desk
+    # training (2**16) moved -13% to +31% over five alternating pairs, and smaller shapes
+    # lost outright, as the per-op cost of two graphs outweighs the second core.
+    _HALF_MIN = 2**17
 
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
         config.validate()
@@ -147,28 +153,30 @@ class TSTModel:
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
-        """Without training or a graph, and when ``_worker_core_free()``, a large batch runs as
-        rows ``[0, ceil(B/2))`` on the calling thread and the rest on a worker thread."""
+        """A batch of two or more rows may run as two row shards, ``[0, ceil(B/2))`` and the
+        rest, through ``_run_pair``. In training, every such batch of a config whose half
+        batch reaches ``_HALF_MIN`` activations does: each shard records its own graph and
+        draws its dropout from its own generator, spawned from ``rng``. Without training or
+        a graph, a batch whose smaller half reaches ``_HALF_MIN`` does, when
+        ``_worker_core_free()``. ``logits`` joins the shards' logits through a recorded
+        concat, and ``shards`` keeps them; a whole batch is its own one shard."""
         x = T.as_tensor(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.L:
             raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
         if not np.all(np.isfinite(x.data)):
             raise DataError("non-finite values in model input")
-        if (training or T._grad_enabled()
-                or len(x.data) // 2 * self.config.ns * self.config.dim < self._EVAL_HALF_MIN
+        rows, half = x.data, (len(x.data) + 1) // 2
+        per_row = self.config.ns * self.config.dim
+        if (training and len(rows) > 1
+                and self.config.batch_size // 2 * per_row >= self._HALF_MIN):
+            first, second = rng.spawn(2) if rng is not None else (None, None)
+            return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half]), True, first),
+                                      lambda: self._forward(Tensor(rows[half:]), True, second)))
+        if (training or T._grad_enabled() or len(rows) // 2 * per_row < self._HALF_MIN
                 or not _worker_core_free()):
             return self._forward(x, training, rng)
-        half, run = (len(x.data) + 1) // 2, self._eval_rows
-        with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
-            second = pool.submit(run, x.data[half:])
-            first, second = run(x.data[:half]), second.result()
-        return ForwardResult(Tensor(np.concatenate([first.logits.data, second.logits.data])),
-                             [Tensor(np.concatenate([a.data, b.data]))
-                              for a, b in zip(first.class_tokens, second.class_tokens)])
-
-    def _eval_rows(self, rows: np.ndarray) -> ForwardResult:
-        with T.no_grad():   # the grad flag is per thread: a worker starts with it on
-            return self._forward(Tensor(rows))
+        return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half])),
+                                  lambda: self._forward(Tensor(rows[half:]))))
 
     def _forward(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> ForwardResult:
@@ -177,7 +185,7 @@ class TSTModel:
         feature, class_tokens = stack_forward(tokens, self.stack, training=training,
                                               p_drop=self.config.p_drop, rng=rng)
         logits = T.add(T.matmul(feature, self.w_head), self.b_head)
-        return ForwardResult(logits=logits, class_tokens=class_tokens)
+        return ForwardResult(logits, class_tokens, (logits,))
 
     def predict(self, x) -> np.ndarray:
         """Row-wise argmax class index (ties resolve to the lowest index)."""
@@ -203,6 +211,46 @@ def _worker_core_free() -> bool:
     """The measured setup only: two cores, no other trial beside this one, and OpenBLAS
     allowed more than one thread. On more cores (not measured) batches stay whole."""
     return _CORES == 2 and getattr(_TRIALS, "count", 1) == 1 and _BLAS_PIN.threads() > 1
+
+
+def _run_pair(first, second) -> tuple:
+    """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on a worker
+    thread, with the caller's grad mode, while OpenBLAS is held at one thread; otherwise both
+    run in turn on the calling thread. Either way an exception of either call reaches the
+    caller."""
+    if not _worker_core_free():
+        return first(), second()
+    _one_malloc_arena()
+    grad = T._grad_enabled()
+
+    def on_worker():   # the grad flag is per thread, and a new thread starts with it on
+        with nullcontext() if grad else T.no_grad():
+            return second()
+
+    with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
+        later = pool.submit(on_worker)
+        return first(), later.result()
+
+
+@functools.cache
+def _one_malloc_arena():
+    """Caps glibc at one malloc arena (``mallopt(M_ARENA_MAX, 1)``), once, before the first
+    worker starts: a worker would otherwise allocate from an arena of its own, and a desk
+    trial training on two threads peaked 8.6-11% higher. Skipped where libc has no
+    ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)   # M_ARENA_MAX
+
+
+def _joined(first: ForwardResult, second: ForwardResult) -> ForwardResult:
+    """Two row shards' results as the batch's: logits through ``T.concat``, which records a
+    node only where the shards' logits have one."""
+    return ForwardResult(T.concat([first.logits, second.logits]),
+                         [Tensor(np.concatenate([a.data, b.data]))
+                          for a, b in zip(first.class_tokens, second.class_tokens)],
+                         (first.logits, second.logits))
 
 
 class _BlasPin:

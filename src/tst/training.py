@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import DatasetSplit, windows_to_arrays
 from .errors import ConfigError, TrainingAbort
-from .model import TSTConfig, TSTModel, concurrent_trials, cross_entropy_from_logits
+from .model import (TSTConfig, TSTModel, _run_pair, concurrent_trials,
+                    cross_entropy_from_logits)
 from .tensor import Tensor, backward, no_grad
 
 
@@ -156,10 +158,40 @@ def evaluate(model: TSTModel, x: np.ndarray, y: np.ndarray,
     return total_loss / len(x), correct / len(x)
 
 
+def _shard_losses(shards: tuple, labels: np.ndarray) -> list[Tensor]:
+    """Each row shard's cross-entropy, weighted by its share of the batch's rows, so that
+    the weighted losses sum to the batch's mean loss."""
+    losses, row = [], 0
+    for logits in shards:
+        rows = len(logits.data)
+        losses.append(T.mul(cross_entropy_from_logits(logits, labels[row:row + rows]),
+                            rows / len(labels)))
+        row += rows
+    return losses
+
+
+def _shard_gradients(losses: list[Tensor], params: list[Tensor]) -> list[np.ndarray]:
+    """The gradient of the sum of the shard losses: each shard backpropagates its own graph,
+    two of them through ``_run_pair``, and their gradients add in shard order."""
+    if len(losses) == 1:
+        return backward(losses[0], params)
+    first, second = _run_pair(lambda: backward(losses[0], params),
+                              lambda: backward(losses[1], params))
+    return [a + b for a, b in zip(first, second)]
+
+
 def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) -> TrialReport:
     """Mini-batch Adam over ``config.epochs`` epochs with the step-decay
     schedule; shuffles the full training set each epoch and keeps the last
-    partial batch. Test metrics are evaluated every epoch."""
+    partial batch. Test metrics are evaluated every epoch.
+
+    A batch that the forward runs as two row shards trains as two: each
+    shard's loss is weighted by its share of the rows, so the shard gradients,
+    summed in shard order, make the full batch's. The second shard's forward
+    and backward run on a worker thread when ``_worker_core_free()``, with
+    OpenBLAS held at one thread. The shards, their dropout generators and the
+    order of the sum are fixed, so the outputs equal those of both shards run
+    in turn at one OpenBLAS thread."""
     if not split.train or not split.test:
         raise ConfigError("training needs non-empty train and test sets")
     if config.epochs < 1:   # a checkpoint may hold 0, but a trial must train
@@ -183,13 +215,13 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
             batch = order[start:start + config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
             result = model.forward(xb, training=True, rng=rng)
-            loss = cross_entropy_from_logits(result.logits, yb)
-            value = loss.item()
+            losses = _shard_losses(result.shards, yb)
+            value = sum(loss.item() for loss in losses)
             if not math.isfinite(value):
                 raise TrainingAbort(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            adam_step(params, backward(loss, params), state, lr, names)
+            adam_step(params, _shard_gradients(losses, params), state, lr, names)
             epoch_loss += value * len(xb)
             epoch_correct += int(np.sum(np.argmax(result.logits.data, axis=1) == yb))
 

@@ -4,12 +4,14 @@
 graph internals (``Tape.nodes``, ``_Node.is_leaf``, ``Tensor._vjp``). A name
 it relies on that disappears would only show when the benchmark runs, so
 this drives the tracer over one tiny training epoch, whose Adam steps use
-the gradients ``Tape.run_backward`` returns through the tracer's wrapper,
-and one evaluation, whose forwards run as two half-batches on two threads
+the gradients ``Tape.run_backward`` returns through the tracer's wrapper;
+over two epochs whose steps run as two row shards on two threads; and over
+one evaluation, whose forwards run as two half-batches on two threads
 (where numpy's bundled OpenBLAS allows more than one thread). It reads
 ``bench/`` and changes nothing there.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,7 @@ def test_bench_tracer_counts_each_evaluated_window_once(monkeypatch):
     import macs
     import tracer
 
-    monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)   # split even these tiny batches
+    monkeypatch.setattr(TSTModel, "_HALF_MIN", 1)   # split even these tiny batches
     monkeypatch.setattr(tstmodel, "_CORES", 2)   # on two threads, as on a host of two cores
     x, y = data.windows_to_arrays(tiny_split().train)   # 8 windows: batches of 4 and 3
     x, y = x[:7], y[:7]
@@ -70,3 +72,23 @@ def test_bench_tracer_counts_each_evaluated_window_once(monkeypatch):
     trace.layer_metrics(macs.layer_macs(CFG))
     evaluated = [span[4] for span in trace.spans if span[0] == "model.forward[eval]"]
     assert sum(evaluated) == len(x) and evaluated == [4, 3]
+
+
+def test_bench_tracer_sees_one_graph_count_per_step_with_shards_on_two_threads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import macs
+    import tracer
+
+    monkeypatch.setattr(TSTModel, "_HALF_MIN", 1)   # two shards, however small the model
+    monkeypatch.setattr(tstmodel, "_CORES", 2)   # the second shard runs on a worker
+    cfg, split = replace(CFG, epochs=2), tiny_split()   # 8 windows: batches of 4 per epoch
+    trace = tracer.Tracer()
+    with trace.installed():
+        training.train(TSTModel(cfg, seed=0), split, cfg, seed=0)
+
+    metrics = trace.layer_metrics(macs.layer_macs(cfg))
+    counts = [span[4] for span in trace.spans if span[0] == "tensor.Tape.__init__"]
+    assert len(counts) == cfg.epochs * 2 * 2 and len(set(counts)) == 1   # 2 steps of 2 shards
+    assert (metrics["tensor.ops_recorded"], metrics["tensor.tape_nodes"]) == counts[0]
+    trained = [span[4] for span in trace.spans if span[0] == "model.forward[train]"]
+    assert trained == [4, 4] * cfg.epochs

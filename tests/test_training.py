@@ -334,9 +334,9 @@ needs_worker = pytest.mark.skipif(tstmodel._BLAS_PIN.threads() < 2,
 
 @pytest.fixture
 def small_halves(monkeypatch):
-    """Split every eval batch of two or more rows, however small the model,
-    as on a host of two cores."""
-    monkeypatch.setattr(TSTModel, "_EVAL_HALF_MIN", 1)
+    """Split every eval and training batch of two or more rows, however small
+    the model, as on a host of two cores."""
+    monkeypatch.setattr(TSTModel, "_HALF_MIN", 1)
     monkeypatch.setattr(tstmodel, "_CORES", 2)
 
 
@@ -463,7 +463,7 @@ def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
 def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, forward_calls,
                                                                         rows, halves):
     # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17
-    assert TSTModel._EVAL_HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
+    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
     monkeypatch.setattr(tstmodel, "_CORES", 2)
     split_model().predict(np.random.default_rng(0).normal(size=(rows, SPLIT_CFG.L)))
     assert sorted(rows for rows, _ in forward_calls) == halves
@@ -555,3 +555,86 @@ def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
     free = tstmodel._worker_core_free()
     repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=jobs)
     assert seen == {(min(jobs, 2), free and jobs == 1)}
+
+
+# ---------------------------------------------------------------------------
+# training steps over two row shards
+
+
+@pytest.mark.parametrize("batch_size, shards", [(1023, [7]), (1024, [4, 3])])
+def test_training_shards_once_the_configs_half_batch_reaches_the_threshold(batch_size, shards):
+    # SPLIT_CFG has ns * dim = 256 activations per row: a half batch of 512 rows makes 2**17
+    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
+    model = TSTModel(TSTConfig(**{**SPLIT_CFG.__dict__, "batch_size": batch_size}), seed=3)
+    x, _ = split_inputs(7)   # a last, partial batch follows its trial's choice
+    result = model.forward(x, training=True, rng=np.random.default_rng(1))
+    assert [len(s.data) for s in result.shards] == shards
+
+
+@pytest.mark.parametrize("batch, shards", [(1, [1]), (2, [1, 1]), (7, [4, 3])])
+def test_sharded_gradient_matches_the_full_batch_gradient(small_halves, batch, shards):
+    cfg = TSTConfig(**{**SPLIT_CFG.__dict__, "p_drop": 0.0, "batch_size": 7})
+    model = TSTModel(cfg, seed=3, dtype=np.float64)
+    model.w_head.data = np.random.default_rng(4).normal(0, 0.5, model.w_head.shape)
+    params = [p for _, p in model.parameters()]
+    x, y = split_inputs(batch)
+    result = model.forward(x, training=True, rng=np.random.default_rng(0))
+    assert [len(s.data) for s in result.shards] == shards
+    sharded = training._shard_gradients(training._shard_losses(result.shards, y), params)
+    whole = model._forward(Tensor(x, dtype=np.float64)).logits   # one pass over every row
+    want = T.backward(cross_entropy_from_logits(whole, y), params)
+    assert len(sharded) == len(want) == len(params)
+    for got, expected in zip(sharded, want):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def record_backward_threads(monkeypatch) -> list:
+    """The thread idents of every ``backward`` that ``train`` calls from now on."""
+    seen, real = [], training.backward
+
+    def recording(loss, wrt):
+        seen.append(threading.get_ident())
+        return real(loss, wrt)
+
+    monkeypatch.setattr(training, "backward", recording)
+    return seen
+
+
+@needs_worker
+def test_train_with_and_without_the_worker_gives_identical_outputs(small_halves, monkeypatch):
+    split = two_class_split()
+    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": 2, "p_drop": 0.1})
+    caller, pin = threading.get_ident(), tstmodel._BLAS_PIN
+    seen, runs = record_backward_threads(monkeypatch), []
+    for cores in (2, 1):
+        monkeypatch.setattr(tstmodel, "_CORES", cores)
+        seen.clear()
+        before = pin.get()
+        if cores == 1:
+            pin.set(1)   # as the worker path holds it while the shards run
+        try:
+            model = TSTModel(cfg, seed=11)
+            report = train(model, split, cfg, seed=11)
+        finally:
+            pin.set(before)
+        runs.append((report, param_digest(model), {t == caller for t in seen}))
+    assert runs[0][2] == {True, False} and runs[1][2] == {True}
+    assert runs[0][0] == runs[1][0] and runs[0][1] == runs[1][1]
+
+
+@needs_worker
+def test_a_shard_raising_on_the_worker_reaches_the_caller(small_halves, monkeypatch):
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    pin, caller, real = tstmodel._BLAS_PIN, threading.get_ident(), training.backward
+    before, error = pin.get(), RuntimeError("injected on the worker")
+
+    def fails_on_the_worker(loss, wrt):
+        if threading.get_ident() != caller:
+            raise error
+        return real(loss, wrt)
+
+    monkeypatch.setattr(training, "backward", fails_on_the_worker)
+    with pytest.raises(RuntimeError) as raised:
+        train(TSTModel(quick_cfg(1), seed=0), two_class_split(), quick_cfg(1), seed=0)
+    assert raised.value is error
+    assert pin.get() == before and pin.holders == 0
