@@ -36,6 +36,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
+# the most trials one study runs (the paper runs 10): cmd_study lists every seed up front
+MAX_TRIALS = 10**4
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -166,6 +169,8 @@ def cmd_train(args) -> int:
 
 def cmd_study(args) -> int:
     _require_at_least(args, 1, "trials", "jobs")   # before --trials sizes the seed list
+    if args.trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
     cfg = resolve_config(args)
     out_dir = Path(args.out_dir)
     split = _load_split(args, cfg)

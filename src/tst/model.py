@@ -37,7 +37,7 @@ from .transformer import TransformerStack, stack_forward
 CHECKPOINT_MAGIC = b"TST1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TSTConfig:
     L: int = 2048
     ns: int = 256
@@ -121,12 +121,11 @@ class TSTModel:
     aligned across runs.
     """
 
-    # rows x ns x dim of a half batch below which batches run whole. Training reads the
-    # config's batch size, so that every step of a trial records the same graphs; eval reads
-    # the batch's smaller half. Below it two threads did not reliably gain on a 2-core host:
-    # an eval worker lost time to OpenBLAS's helper thread, still spinning after GEMMs; desk
-    # training (2**16) moved -13% to +31% over five alternating pairs, and smaller shapes
-    # lost outright, as the per-op cost of two graphs outweighs the second core.
+    # rows x ns x dim of the config's half batch below which batches run whole, in training
+    # and in eval alike, so that every step of a trial records the same graphs. Below it two
+    # threads did not reliably gain on a 2-core host: desk training (2**16) moved -13% to
+    # +31% over five alternating pairs, and smaller shapes lost outright, as the per-op cost
+    # of two graphs outweighs the second core.
     _HALF_MIN = 2**17
 
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
@@ -153,30 +152,27 @@ class TSTModel:
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
-        """A batch of two or more rows may run as two row shards, ``[0, ceil(B/2))`` and the
-        rest, through ``_run_pair``. In training, every such batch of a config whose half
-        batch reaches ``_HALF_MIN`` activations does: each shard records its own graph and
-        draws its dropout from its own generator, spawned from ``rng``. Without training or
-        a graph, a batch whose smaller half reaches ``_HALF_MIN`` does, when
-        ``_worker_core_free()``. ``logits`` joins the shards' logits through a recorded
-        concat, and ``shards`` keeps them; a whole batch is its own one shard."""
+        """A batch of two or more rows runs as two row shards, ``[0, ceil(B/2))`` and the
+        rest, through ``_run_pair``, when the config's half batch reaches ``_HALF_MIN``
+        activations, in training and in eval alike. Each shard records its own graph where
+        grad mode is on, and draws its dropout from its own generator, spawned from ``rng``.
+        ``logits`` joins the shards' logits through a recorded concat, and ``shards`` keeps
+        them; a whole batch is its own one shard. On a 2-core host the first call sets
+        OpenBLAS to one thread for the rest of the process (``_one_blas_thread``)."""
         x = T.as_tensor(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.L:
             raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
         if not np.all(np.isfinite(x.data)):
             raise DataError("non-finite values in model input")
+        if _CORES == 2:
+            _one_blas_thread()
         rows, half = x.data, (len(x.data) + 1) // 2
-        per_row = self.config.ns * self.config.dim
-        if (training and len(rows) > 1
-                and self.config.batch_size // 2 * per_row >= self._HALF_MIN):
-            first, second = rng.spawn(2) if rng is not None else (None, None)
-            return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half]), True, first),
-                                      lambda: self._forward(Tensor(rows[half:]), True, second)))
-        if (training or T._grad_enabled() or len(rows) // 2 * per_row < self._HALF_MIN
-                or not _worker_core_free()):
+        cfg = self.config
+        if len(rows) < 2 or cfg.batch_size // 2 * cfg.ns * cfg.dim < self._HALF_MIN:
             return self._forward(x, training, rng)
-        return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half])),
-                                  lambda: self._forward(Tensor(rows[half:]))))
+        first, second = rng.spawn(2) if rng is not None else (None, None)
+        return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half]), training, first),
+                                  lambda: self._forward(Tensor(rows[half:]), training, second)))
 
     def _forward(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> ForwardResult:
@@ -208,16 +204,15 @@ def concurrent_trials(count: int):
 
 
 def _worker_core_free() -> bool:
-    """The measured setup only: two cores, no other trial beside this one, and OpenBLAS
-    allowed more than one thread. On more cores (not measured) batches stay whole."""
-    return _CORES == 2 and getattr(_TRIALS, "count", 1) == 1 and _BLAS_PIN.threads() > 1
+    """The measured setup only: two cores, no other trial beside this one, and numpy's
+    bundled OpenBLAS, set to one thread. On more cores (not measured) shards run in turn."""
+    return _CORES == 2 and getattr(_TRIALS, "count", 1) == 1 and _one_blas_thread()
 
 
 def _run_pair(first, second) -> tuple:
     """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on a worker
-    thread, with the caller's grad mode, while OpenBLAS is held at one thread; otherwise both
-    run in turn on the calling thread. Either way an exception of either call reaches the
-    caller."""
+    thread, with the caller's grad mode; otherwise both run in turn on the calling thread.
+    Either way an exception of either call reaches the caller."""
     if not _worker_core_free():
         return first(), second()
     _one_malloc_arena()
@@ -227,9 +222,26 @@ def _run_pair(first, second) -> tuple:
         with nullcontext() if grad else T.no_grad():
             return second()
 
-    with _BLAS_PIN, ThreadPoolExecutor(1) as pool:
+    with ThreadPoolExecutor(1) as pool:
         later = pool.submit(on_worker)
         return first(), later.result()
+
+
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Sets numpy's bundled OpenBLAS to one thread for the rest of the process, once, and
+    says whether it could: False where numpy bundles no OpenBLAS. A call racing the first
+    sets the same value again. On a 2-core host every GEMM then runs at one thread, sharded
+    or not, so outputs do not depend on ``OPENBLAS_NUM_THREADS``, and two shards' GEMMs do
+    not contend for the two cores."""
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None   # (int) -> void
+    set_threads(1)
+    return True
 
 
 @functools.cache
@@ -251,42 +263,6 @@ def _joined(first: ForwardResult, second: ForwardResult) -> ForwardResult:
                          [Tensor(np.concatenate([a.data, b.data]))
                           for a, b in zip(first.class_tokens, second.class_tokens)],
                          (first.logits, second.logits))
-
-
-class _BlasPin:
-    """Holds numpy's bundled OpenBLAS, process-wide, at one thread while any holder is inside."""
-
-    def __init__(self):
-        self.lock, self.holders, self.saved = threading.Lock(), 0, 1
-        libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
-        lib = ctypes.CDLL(libs[0]) if libs else None
-        self.get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        self.set = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        self.usable = self.get is not None and self.set is not None
-        if self.usable:   # int openblas_get_num_threads(void), void openblas_set_num_threads(int)
-            self.get.argtypes, self.get.restype = [], ctypes.c_int
-            self.set.argtypes, self.set.restype = [ctypes.c_int], None
-
-    def threads(self) -> int:
-        """OpenBLAS's thread count as set outside any pin; 1 without the library."""
-        with self.lock:
-            return 1 if not self.usable else self.saved if self.holders else self.get()
-
-    def __enter__(self):
-        with self.lock:
-            if self.holders == 0:
-                self.saved = self.get()
-                self.set(1)
-            self.holders += 1
-
-    def __exit__(self, *exc):
-        with self.lock:
-            self.holders -= 1
-            if self.holders == 0:
-                self.set(self.saved)
-
-
-_BLAS_PIN = _BlasPin()
 
 
 def _tensor_fields(prefix: str, params) -> list[tuple[str, Tensor]]:

@@ -188,10 +188,11 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
     A batch that the forward runs as two row shards trains as two: each
     shard's loss is weighted by its share of the rows, so the shard gradients,
     summed in shard order, make the full batch's. The second shard's forward
-    and backward run on a worker thread when ``_worker_core_free()``, with
-    OpenBLAS held at one thread. The shards, their dropout generators and the
-    order of the sum are fixed, so the outputs equal those of both shards run
-    in turn at one OpenBLAS thread."""
+    and backward run on a worker thread when ``_worker_core_free()``. The
+    shards, their dropout generators and the order of the sum are fixed, so
+    the outputs do not depend on which thread ran a shard, and on a 2-core
+    host, where every GEMM runs at one OpenBLAS thread, not on
+    ``OPENBLAS_NUM_THREADS`` either."""
     if not split.train or not split.test:
         raise ConfigError("training needs non-empty train and test sets")
     if config.epochs < 1:   # a checkpoint may hold 0, but a trial must train

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_macs_are_linear_in_token_count():
     base = TSTConfig(L=64, dim=16, dim_mlp=32, d_k=8, heads=2, depth=3)
     values = {}
     for ns in (2, 4, 8, 16):
-        cfg = TSTConfig(**{**base.__dict__, "ns": ns})
+        cfg = dataclasses.replace(base, ns=ns)
         values[ns] = cost_report(cfg).macs_linear
     slope1 = (values[4] - values[2]) / 2
     slope2 = (values[8] - values[4]) / 4

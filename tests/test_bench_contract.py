@@ -7,7 +7,7 @@ this drives the tracer over one tiny training epoch, whose Adam steps use
 the gradients ``Tape.run_backward`` returns through the tracer's wrapper;
 over two epochs whose steps run as two row shards on two threads; and over
 one evaluation, whose forwards run as two half-batches on two threads
-(where numpy's bundled OpenBLAS allows more than one thread). It reads
+(where numpy bundles OpenBLAS). It reads
 ``bench/`` and changes nothing there.
 """
 

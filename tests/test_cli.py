@@ -1,8 +1,13 @@
 import contextlib
+import glob
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,39 @@ def test_train_reruns_byte_identical(small_dataset, tmp_path):
         outs.append(out)
     for artifact in ("trial_report.csv", "model.tst", "confusion.csv"):
         assert sha(outs[0] / artifact) == sha(outs[1] / artifact), artifact
+
+
+ON_TWO_CORES_WITH_OPENBLAS = (
+    hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) == 2
+    and bool(glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")))
+
+DESK_MODEL = ["--length", "512", "--ns", "64", "--dim", "32", "--dim-mlp", "64", "--dk", "16",
+              "--heads", "2", "--depth", "2", "--epochs", "1", "--batch-size", "64",
+              "--lr", "1e-3"]
+
+
+@pytest.mark.skipif(not ON_TWO_CORES_WITH_OPENBLAS,
+                    reason="needs a CPU affinity of exactly 2 cores and numpy's bundled OpenBLAS")
+def test_train_outputs_do_not_depend_on_the_openblas_thread_count(tmp_path):
+    """A desk-shaped trial trains whole batches; on 2 cores every GEMM runs at one OpenBLAS
+    thread whatever OPENBLAS_NUM_THREADS says."""
+    dataset = tmp_path / "desk.csv"
+    assert run(["synth", "--classes", "10", "--per-class", "30", "--seed", "1",
+                "--length", "512", "--out", str(dataset)]) == 0
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent
+                                                           / "src"), base.get("PYTHONPATH")]))
+    outputs = []
+    for name, env in (("one", {**base, "OPENBLAS_NUM_THREADS": "1"}), ("default", base)):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "tst.cli", "train", "--data", str(dataset),
+                               "--seed", "1", "--out-dir", str(out)] + DESK_MODEL,
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f).read_bytes()
+                        for f in ("model.tst", "trial_report.csv", "confusion.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_invalid_hyperparameters_fail_fast(small_dataset, tmp_path, capsys):
@@ -169,6 +207,18 @@ def test_study_checks_trials_and_jobs_before_any_work(small_dataset, tmp_path, c
     # a list of 3e6 seeds alone would take some 100 MB
     assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "config error: --jobs must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 2**32])
+def test_study_rejects_more_trials_than_its_bound_before_any_work(small_dataset, tmp_path,
+                                                                  capsys, trials):
+    out = tmp_path / "study"
+    argv = ["study", "--data", str(small_dataset), "--trials", str(trials),
+            "--out-dir", str(out)] + SMALL_MODEL
+    assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: --trials must be <= {cli.MAX_TRIALS}, "
+                                       f"got {trials}\n")
     assert not out.exists()
 
 
@@ -379,7 +429,7 @@ _TRAIN_FLAGS = {
 }
 _TRAINING_FLAGS = {
     "train": {"--seed": (st.integers(0, 3), (-1, 2**32, 2**64)), **_TRAIN_FLAGS},
-    "study": {"--trials": (st.integers(1, 3), (-1, 0)),
+    "study": {"--trials": (st.integers(1, 3), (-1, 0, cli.MAX_TRIALS + 1, 2**32)),
               "--base-seed": (st.integers(0, 3), (-1, 2**32, 2**64)),
               "--jobs": (st.integers(1, 3), (-1, 0, 2**32)), **_TRAIN_FLAGS},
 }

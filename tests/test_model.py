@@ -81,9 +81,16 @@ def test_config_accepts_ints_for_floats_and_numpy_scalars():
     TSTConfig(p_drop=0, lr=1, lr_gamma=np.float32(0.5), dim=np.int64(64)).validate()
 
 
+def test_config_is_frozen():
+    cfg = TSTConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.batch_size = 7
+    assert cfg.batch_size == 128 and dataclasses.replace(cfg, batch_size=7).batch_size == 7
+
+
 def test_save_checkpoint_rejects_field_beyond_u32(tmp_path):
     model = tiny_model()
-    model.config.epochs = 2**32
+    model.config = dataclasses.replace(model.config, epochs=2**32)
     with pytest.raises(ConfigError, match="epochs"):
         save_checkpoint(model, tmp_path / "model.tst")
     assert not (tmp_path / "model.tst").exists()

@@ -1,10 +1,15 @@
+import glob
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
 from tst.tensor import Tensor
 from tst.training import (AdamState, TrialReport, adam_step, evaluate,
                           lr_at_epoch, repeat_trials, train)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def two_class_split(n_per_class=20, seed=5, length=64):
@@ -110,7 +117,7 @@ def test_adam_overflowing_update_leaves_the_parameter_unchanged():
 
 def test_huge_lr_aborts_naming_the_parameter_without_warnings():
     split = two_class_split()
-    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "lr": 1e30, "epochs": 1})
+    cfg = replace(TWO_CLASS_CFG, lr=1e30, epochs=1)
     model = TSTModel(cfg, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # a numpy overflow warning would raise here
@@ -198,7 +205,7 @@ def param_digest(model):
 
 def test_same_seed_training_is_bit_identical():
     split = two_class_split()
-    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": 3, "p_drop": 0.1})
+    cfg = replace(TWO_CLASS_CFG, epochs=3, p_drop=0.1)
     runs = []
     for _ in range(2):
         model = TSTModel(cfg, seed=11)
@@ -222,8 +229,7 @@ def test_second_step_does_not_hold_the_first_steps_graph():
     as one; holding the first graph through the second forward nearly
     doubles the traced peak."""
     split = two_class_split()
-    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": 1, "batch_size": 15,
-                       "p_drop": 0.1})
+    cfg = replace(TWO_CLASS_CFG, epochs=1, batch_size=15, p_drop=0.1)
 
     def traced_peak(n_train):
         part = data.DatasetSplit(train=split.train[:n_train], test=split.test[:1],
@@ -262,7 +268,7 @@ def test_trial_report_lines_format():
 
 
 def quick_cfg(epochs=2):
-    return TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": epochs})
+    return replace(TWO_CLASS_CFG, epochs=epochs)
 
 
 def test_repeat_trials_single_trial_degenerate_stats():
@@ -322,19 +328,19 @@ def test_train_and_study_need_at_least_one_epoch():
 
 
 # ---------------------------------------------------------------------------
-# eval forwards over two half-batches
+# forwards over two row shards
 
 SPLIT_CFG = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2, n_class=4)
 
 
-# the worker needs numpy's bundled OpenBLAS, allowed more than one thread
-needs_worker = pytest.mark.skipif(tstmodel._BLAS_PIN.threads() < 2,
-                                  reason="numpy's OpenBLAS is not bundled or runs one thread")
+# the worker needs numpy's bundled OpenBLAS, which it sets to one thread
+needs_worker = pytest.mark.skipif(not tstmodel._one_blas_thread(),
+                                  reason="numpy's OpenBLAS is not bundled")
 
 
 @pytest.fixture
 def small_halves(monkeypatch):
-    """Split every eval and training batch of two or more rows, however small
+    """Shard every eval and training batch of two or more rows, however small
     the model, as on a host of two cores."""
     monkeypatch.setattr(TSTModel, "_HALF_MIN", 1)
     monkeypatch.setattr(tstmodel, "_CORES", 2)
@@ -375,7 +381,7 @@ def as_windows(x, y):
 def eval_outputs(model, x, y, batch_size):
     """evaluate, predict (per batch, as ``tst train`` calls it) and the
     class-token stages of collect_stage_features, over the same batches."""
-    model.config.batch_size = batch_size
+    model.config = replace(model.config, batch_size=batch_size)
     stages, _ = analysis.collect_stage_features(model, as_windows(x, y))
     pred = np.concatenate([model.predict(x[i:i + batch_size])
                            for i in range(0, len(x), batch_size)])
@@ -409,33 +415,21 @@ def test_eval_halves_match_unsplit_batches(small_halves, dtype, atol, batch_size
 @contextmanager
 def without_worker(kind, monkeypatch):
     """A setup in which ``_worker_core_free()`` is false, the ``kind`` way."""
-    pin = tstmodel._BLAS_PIN
     if kind == "one-core":
         monkeypatch.setattr(tstmodel, "_CORES", 1)
     elif kind == "four-cores":   # more cores than were measured
         monkeypatch.setattr(tstmodel, "_CORES", 4)
     elif kind == "no-blas":
-        monkeypatch.setattr(pin, "usable", False)
+        monkeypatch.setattr(tstmodel, "_one_blas_thread", lambda: False)
     if kind == "two-trials":
         with tstmodel.concurrent_trials(2):
             yield
-    elif kind == "one-blas-thread":
-        if not pin.usable:
-            pytest.skip("numpy's OpenBLAS is not bundled")
-        before = pin.get()
-        pin.set(1)
-        try:
-            yield
-            assert pin.get() == 1   # the limit the caller set still holds
-        finally:
-            pin.set(before)
     else:
         yield
 
 
-@pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "one-blas-thread",
-                                  "two-trials"])
-def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
+@pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "two-trials"])
+def test_eval_without_a_worker_runs_both_halves_on_the_calling_thread_with_the_same_outputs(
         small_halves, monkeypatch, forward_calls, kind):
     x, y = split_inputs()
     with_worker = eval_outputs(split_model(), x, y, 7)
@@ -445,8 +439,9 @@ def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
         got_eval, got_pred, got_stages = eval_outputs(split_model(), x, y, 7)
     assert got_eval == with_worker[0] and np.array_equal(got_pred, with_worker[1])
     assert all(np.array_equal(g, w) for g, w in zip(got_stages, with_worker[2]))
-    # collect_stage_features, predict and evaluate each pass batches of 7 and 6 rows
-    assert sorted(forward_calls) == [(6, False)] * 3 + [(7, False)] * 3
+    # collect_stage_features, predict and evaluate each pass batches of 7 and 6 rows,
+    # as halves of 4 and 3 rows and of 3 and 3
+    assert sorted(forward_calls) == [(3, False)] * 9 + [(4, False)] * 3
 
 
 @needs_worker
@@ -456,17 +451,6 @@ def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
     evaluate(split_model(), x, y, 7)
     # rows [0, ceil(B/2)) on the calling thread, the rest on the worker
     assert sorted(forward_calls) == [(3, False), (3, True), (3, True), (4, False)]
-
-
-@needs_worker
-@pytest.mark.parametrize("rows, halves", [(1023, [1023]), (1024, [512, 512])])
-def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, forward_calls,
-                                                                        rows, halves):
-    # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17
-    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
-    monkeypatch.setattr(tstmodel, "_CORES", 2)
-    split_model().predict(np.random.default_rng(0).normal(size=(rows, SPLIT_CFG.L)))
-    assert sorted(rows for rows, _ in forward_calls) == halves
 
 
 def test_evaluate_records_no_graph_on_any_thread(small_halves, forward_calls, monkeypatch):
@@ -487,20 +471,13 @@ def test_evaluate_records_no_graph_on_any_thread(small_halves, forward_calls, mo
 
 
 @needs_worker
-def test_blas_thread_count_is_restored_after_eval_errors_and_studies(small_halves, monkeypatch):
-    pin = tstmodel._BLAS_PIN
-    before = pin.get()
+def test_eval_errors_in_either_half_reach_the_caller(small_halves, monkeypatch):
     model = split_model()
     x, y = split_inputs()
-    evaluate(model, x, y, 8)
-    assert pin.get() == before
     bad = x.copy()
     bad[7, 3] = np.nan   # row 7 of 8 falls in the second half
     with pytest.raises(DataError, match="non-finite values in model input"):
         evaluate(model, bad, y, 8)
-    assert pin.get() == before
-    repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=2)
-    assert pin.get() == before
 
     real = TSTModel._forward
 
@@ -512,32 +489,6 @@ def test_blas_thread_count_is_restored_after_eval_errors_and_studies(small_halve
     monkeypatch.setattr(TSTModel, "_forward", second_half_fails)
     with pytest.raises(RuntimeError, match="injected"):
         evaluate(model, x[:7], y[:7], 7)
-    assert pin.get() == before and pin.holders == 0
-
-
-@pytest.mark.skipif(not tstmodel._BLAS_PIN.usable, reason="numpy's OpenBLAS is not bundled")
-def test_blas_pin_holds_one_thread_under_many_concurrent_holders():
-    pin = tstmodel._BLAS_PIN
-    before, inside = pin.get(), []
-
-    def hold():
-        for _ in range(200):
-            with pin:
-                inside.append(pin.get())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hold) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(inside) == 8 * 200 and set(inside) == {1}
-    assert pin.holders == 0 and pin.get() == before
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 5])
@@ -561,19 +512,44 @@ def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
 # training steps over two row shards
 
 
+@pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("batch_size, shards", [(1023, [7]), (1024, [4, 3])])
-def test_training_shards_once_the_configs_half_batch_reaches_the_threshold(batch_size, shards):
+def test_training_shards_once_the_configs_half_batch_reaches_the_threshold(batch_size, shards,
+                                                                           training):
     # SPLIT_CFG has ns * dim = 256 activations per row: a half batch of 512 rows makes 2**17
     assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
-    model = TSTModel(TSTConfig(**{**SPLIT_CFG.__dict__, "batch_size": batch_size}), seed=3)
-    x, _ = split_inputs(7)   # a last, partial batch follows its trial's choice
-    result = model.forward(x, training=True, rng=np.random.default_rng(1))
+    model = TSTModel(replace(SPLIT_CFG, batch_size=batch_size), seed=3)
+    x, _ = split_inputs(7)   # a last, partial batch follows its trial's choice, in eval too
+    result = model.forward(x, training=training, rng=np.random.default_rng(1))
     assert [len(s.data) for s in result.shards] == shards
+
+
+def test_a_forward_on_a_two_core_host_leaves_openblas_at_one_thread():
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
+    if not libs:
+        pytest.skip("numpy's OpenBLAS is not bundled")
+    # a fresh process, as this one's OpenBLAS may already be set
+    script = (
+        "import ctypes, sys\n"
+        "import numpy as np\n"
+        "from tst import model\n"
+        "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+        "model._CORES = 2   # as on a host of two cores\n"
+        "before = get()\n"
+        "cfg = model.TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2)\n"
+        "model.TSTModel(cfg).forward(np.zeros((3, 64)))   # a whole batch: no worker\n"
+        "print(before, get())\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, libs[0]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1"]
 
 
 @pytest.mark.parametrize("batch, shards", [(1, [1]), (2, [1, 1]), (7, [4, 3])])
 def test_sharded_gradient_matches_the_full_batch_gradient(small_halves, batch, shards):
-    cfg = TSTConfig(**{**SPLIT_CFG.__dict__, "p_drop": 0.0, "batch_size": 7})
+    cfg = replace(SPLIT_CFG, p_drop=0.0, batch_size=7)
     model = TSTModel(cfg, seed=3, dtype=np.float64)
     model.w_head.data = np.random.default_rng(4).normal(0, 0.5, model.w_head.shape)
     params = [p for _, p in model.parameters()]
@@ -603,20 +579,14 @@ def record_backward_threads(monkeypatch) -> list:
 @needs_worker
 def test_train_with_and_without_the_worker_gives_identical_outputs(small_halves, monkeypatch):
     split = two_class_split()
-    cfg = TSTConfig(**{**TWO_CLASS_CFG.__dict__, "epochs": 2, "p_drop": 0.1})
-    caller, pin = threading.get_ident(), tstmodel._BLAS_PIN
+    cfg = replace(TWO_CLASS_CFG, epochs=2, p_drop=0.1)
+    caller = threading.get_ident()
     seen, runs = record_backward_threads(monkeypatch), []
-    for cores in (2, 1):
+    for cores in (2, 1):   # the first run leaves OpenBLAS at one thread, for the second too
         monkeypatch.setattr(tstmodel, "_CORES", cores)
         seen.clear()
-        before = pin.get()
-        if cores == 1:
-            pin.set(1)   # as the worker path holds it while the shards run
-        try:
-            model = TSTModel(cfg, seed=11)
-            report = train(model, split, cfg, seed=11)
-        finally:
-            pin.set(before)
+        model = TSTModel(cfg, seed=11)
+        report = train(model, split, cfg, seed=11)
         runs.append((report, param_digest(model), {t == caller for t in seen}))
     assert runs[0][2] == {True, False} and runs[1][2] == {True}
     assert runs[0][0] == runs[1][0] and runs[0][1] == runs[1][1]
@@ -625,8 +595,8 @@ def test_train_with_and_without_the_worker_gives_identical_outputs(small_halves,
 @needs_worker
 def test_a_shard_raising_on_the_worker_reaches_the_caller(small_halves, monkeypatch):
     monkeypatch.setattr(tstmodel, "_CORES", 2)
-    pin, caller, real = tstmodel._BLAS_PIN, threading.get_ident(), training.backward
-    before, error = pin.get(), RuntimeError("injected on the worker")
+    caller, real = threading.get_ident(), training.backward
+    error = RuntimeError("injected on the worker")
 
     def fails_on_the_worker(loss, wrt):
         if threading.get_ident() != caller:
@@ -637,4 +607,3 @@ def test_a_shard_raising_on_the_worker_reaches_the_caller(small_halves, monkeypa
     with pytest.raises(RuntimeError) as raised:
         train(TSTModel(quick_cfg(1), seed=0), two_class_split(), quick_cfg(1), seed=0)
     assert raised.value is error
-    assert pin.get() == before and pin.holders == 0
