@@ -429,8 +429,10 @@ def without_worker(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "two-trials"])
-def test_eval_without_a_worker_runs_both_halves_on_the_calling_thread_with_the_same_outputs(
+def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
         small_halves, monkeypatch, forward_calls, kind):
+    """Without a worker the calling thread runs the whole of each batch, both of
+    its halves, with outputs bit-identical to those of the worker setup."""
     x, y = split_inputs()
     with_worker = eval_outputs(split_model(), x, y, 7)
     forward_calls.clear()
@@ -451,6 +453,19 @@ def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
     evaluate(split_model(), x, y, 7)
     # rows [0, ceil(B/2)) on the calling thread, the rest on the worker
     assert sorted(forward_calls) == [(3, False), (3, True), (3, True), (4, False)]
+
+
+@pytest.mark.parametrize("rows, halves", [(1023, [1023]), (1024, [512, 512])])
+def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, forward_calls,
+                                                                        rows, halves):
+    # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17. A batch of
+    # the config's size has the config's half batch as its smaller half.
+    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    model = split_model()
+    model.config = replace(SPLIT_CFG, batch_size=rows)
+    model.predict(np.random.default_rng(0).normal(size=(rows, SPLIT_CFG.L)))
+    assert sorted(rows for rows, _ in forward_calls) == halves
 
 
 def test_evaluate_records_no_graph_on_any_thread(small_halves, forward_calls, monkeypatch):
