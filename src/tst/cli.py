@@ -38,6 +38,9 @@ EXIT_RUNTIME = 4
 
 # the most trials one study runs (the paper runs 10): cmd_study lists every seed up front
 MAX_TRIALS = 10**4
+# the most samples (classes x per class x length) one synth writes: 400 MB of
+# float32 windows held at once, about 5x the default 10 x 900 x 2048
+MAX_SYNTH_SAMPLES = 10**8
 
 
 def _sha256(path: Path) -> str:
@@ -136,6 +139,10 @@ def cmd_synth(args) -> int:
     if not 1 <= args.classes <= len(spec.classes):
         raise ConfigError(f"--classes must be in [1, {len(spec.classes)}], got {args.classes}")
     _require_at_least(args, 1, "per_class", "length")
+    samples = args.classes * args.per_class * args.length
+    if samples > MAX_SYNTH_SAMPLES:   # before any window is built
+        raise ConfigError(f"--classes x --per-class x --length must be <= "
+                          f"{MAX_SYNTH_SAMPLES} samples, got {samples}")
     spec = data.SyntheticSpec(sample_rate=spec.sample_rate, classes=spec.classes[:args.classes])
     windows = data.generate_synthetic(spec, args.per_class, args.seed, length=args.length)
     data.write_csv(windows, out,

@@ -114,6 +114,36 @@ def test_train_outputs_do_not_depend_on_the_openblas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_the_package_trains_and_runs_float64_without_scipy():
+    # numpy is the only runtime dependency: with every scipy import failing, the CLI
+    # imports, a float32 trial of one training step runs and a float64 forward runs
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None   # any import of scipy now raises ImportError\n"
+        "import numpy as np\n"
+        "from tst import cli, data, training\n"
+        "from tst.model import TSTConfig, TSTModel\n"
+        "cfg = TSTConfig(L=16, ns=4, dim=4, dim_mlp=4, d_k=2, heads=1, depth=1, n_class=2,\n"
+        "                epochs=1, batch_size=4)\n"
+        "spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:2])\n"
+        "windows = data.generate_synthetic(spec, 3, seed=0, length=16)\n"
+        "split = data.split_train_test(windows, 4, 2, seed=0)\n"
+        "report = training.train(TSTModel(cfg, seed=0), split, cfg, seed=0)\n"
+        "x = np.random.default_rng(0).normal(size=(2, 16))\n"
+        "logits = TSTModel(cfg, seed=0, dtype=np.float64).forward(x).logits.data\n"
+        "assert logits.dtype == np.float64 and np.isfinite(logits).all()\n"
+        "print(len(report.train_loss), 'scipy.special' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
+
+
 def test_invalid_hyperparameters_fail_fast(small_dataset, tmp_path, capsys):
     code = run(["train", "--data", str(small_dataset), "--ns", "3",
                 "--out-dir", str(tmp_path / "x")])
@@ -198,6 +228,20 @@ def test_study_with_every_trial_aborted_exits_4(small_dataset, tmp_path, capsys)
     assert [l.split(",")[1] for l in lines[1:3]] == ["0", "1"]
     assert all(",nan,failed: non-finite" in l for l in lines[1:3])
     assert lines[-1] == "summary,trials=0,top_acc=nan,min_acc=nan,avg_acc=nan,std=nan"
+
+
+@pytest.mark.parametrize("per_class, length", [(10**6, 10**6), (2**32, 2**32),
+                                              (cli.MAX_SYNTH_SAMPLES // 20 + 1, 2)])
+def test_synth_rejects_more_samples_than_its_bound_before_any_window(tmp_path, capsys,
+                                                                    per_class, length):
+    out = tmp_path / "set.csv"
+    argv = ["synth", "--classes", "10", "--per-class", str(per_class), "--length", str(length),
+            "--out", str(out)]
+    assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: --classes x --per-class x --length must be <= "
+        f"{cli.MAX_SYNTH_SAMPLES} samples, got {10 * per_class * length}\n")
+    assert not out.exists()
 
 
 def test_study_checks_trials_and_jobs_before_any_work(small_dataset, tmp_path, capsys):
@@ -358,8 +402,9 @@ def test_embed_rejects_bad_tsne_inputs(tiny_embed_inputs, capsys, flags):
 # argv fuzzing: each flag is absent, an accepted value of its declared type,
 # or an edge: a negative, 0, a value just past a bound, 2**32, a non-finite
 # float. Sizes that allocate (synth counts, t-SNE iterations) stay small and
-# are always given, so every accepted run takes milliseconds; so is the
-# perplexity, whose default needs more points than the tiny dataset has.
+# are always given, so every accepted run takes milliseconds (a synth count
+# edge past cli.MAX_SYNTH_SAMPLES is rejected before any window is built); so
+# is the perplexity, whose default needs more points than the tiny dataset has.
 def _pick(accepted, *edges):
     return st.one_of(accepted, st.sampled_from(edges))
 
@@ -368,8 +413,9 @@ _NON_FINITE = (math.nan, math.inf, -math.inf)
 _SEEDS = _pick(st.integers(0, 3), -1, 2**32, 2**64)
 _FLAGS = {
     "synth": {"--classes": _pick(st.integers(1, 10), -1, 0, 11, 2**32),
-              "--per-class": _pick(st.integers(1, 3), -1, 0),
-              "--length": _pick(st.integers(1, 9), -1, 0), "--seed": _SEEDS},
+              "--per-class": _pick(st.integers(1, 3), -1, 0, cli.MAX_SYNTH_SAMPLES + 1, 2**32),
+              "--length": _pick(st.integers(1, 9), -1, 0, cli.MAX_SYNTH_SAMPLES + 1, 2**32),
+              "--seed": _SEEDS},
     "cost": {**{flag: _pick(st.integers(1, 64), -1, 0, 2**32 - 1, 2**32)
                 for flag in ("--ns", "--dim", "--dim-mlp", "--dk", "--heads", "--depth",
                              "--epochs", "--batch-size", "--length", "--classes")},

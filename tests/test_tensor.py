@@ -69,11 +69,49 @@ def test_layer_norm_moments():
     assert abs(out.data.var() - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64, 65, 32), (64, 1, 32), (3, 7)])
+def test_layer_norm_is_bit_identical_to_the_np_var_form(dtype, shape):
+    rng = np.random.default_rng(5)
+    x, gain, bias = (rng.normal(1.0, 3.0, size=s).astype(dtype)
+                     for s in (shape, shape[-1:], shape[-1:]))
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    want = (x - x.mean(axis=-1, keepdims=True)) * inv * gain + bias
+    got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def test_gelu_values():
     assert T.gelu(Tensor([0.0])).data[0] == 0.0
     # independent oracle: x * Phi(x) through math.erf
     expected = 2.0 * 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))
     assert abs(T.gelu(Tensor([2.0], dtype=np.float64)).data[0] - expected) < 1e-12
+
+
+GELU_GRID = np.linspace(-8.0, 8.0, 160001).astype(np.float32)
+
+
+def exact_gelu_and_derivative(x):
+    """x * Phi(x) and Phi(x) + x * pdf(x) in float64, Phi through math.erf."""
+    x = x.astype(np.float64)
+    phi = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+    return x * phi, phi + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def test_float32_gelu_kernel_is_within_2e6_of_the_exact_gelu():
+    x = Tensor(GELU_GRID, requires_grad=True)
+    out = T.gelu(x)
+    (deriv,) = backward(T.tsum(out), [x])
+    value, slope = exact_gelu_and_derivative(GELU_GRID)
+    assert out.dtype == deriv.dtype == np.float32
+    assert np.max(np.abs(out.data - value)) < 2e-6
+    assert np.max(np.abs(deriv - slope)) < 1e-6
+
+
+def test_float32_gelu_without_a_node_gives_the_recorded_values():
+    recorded = T.gelu(Tensor(GELU_GRID, requires_grad=True)).data
+    np.testing.assert_array_equal(T.gelu(Tensor(GELU_GRID)).data, recorded)
 
 
 def test_gelu_tanh_approximation_close_on_grid():
