@@ -49,7 +49,6 @@ class CostReport:
 
 
 def cost_report(config: TSTConfig) -> CostReport:
-    config.validate()
     n = config.ns + 1                      # tokens incl. class slot
     dim, d_k, h = config.dim, config.d_k, config.heads
     hd = h * d_k                           # fused q, k, v (and o) projection width
@@ -96,7 +95,7 @@ class SweepRow:
     params_target_m: float
 
     def config(self) -> TSTConfig:
-        return replace(TSTConfig(), **self.overrides).validate()
+        return replace(TSTConfig(), **self.overrides)
 
 
 # Bundled reference sweep: the stock architecture plus the published
@@ -277,10 +276,10 @@ def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
 
     p_used = p * exaggeration
     for it in range(iterations):
+        q, num = _student_t_q(y)
         if it == switch_iter:
             p_used = p
-            kl_after_exaggeration = _kl_divergence(p, _student_t_q(y)[0])
-        q, num = _student_t_q(y)
+            kl_after_exaggeration = _kl_divergence(p, q)
         momentum = 0.5 if it < switch_iter else 0.8
         # gradient: 4 * sum_j (p_ij - q_ij) * num_ij * (y_i - y_j)
         coeff = (p_used - q) * num

@@ -87,8 +87,7 @@ def resolve_config(args: argparse.Namespace) -> TSTConfig:
         "batch_size": args.batch_size, "lr": args.lr, "L": args.length,
         "n_class": args.classes,
     }
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    return cfg.validate()
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
@@ -110,8 +109,6 @@ def _add_override_flags(p: argparse.ArgumentParser):
 
 def _load_split(args, cfg: TSTConfig) -> data.DatasetSplit:
     windows = data.load_csv(args.data, length=cfg.L, n_class=cfg.n_class)
-    if not windows:
-        raise DataError(f"{args.data} holds no windows")
     n_test = max(1, round(len(windows) * 2 / 9))     # 7:2 proportions
     n_train = len(windows) - n_test
     if args.train_count is not None:
@@ -143,12 +140,12 @@ def cmd_synth(args) -> int:
     if samples > MAX_SYNTH_SAMPLES:   # before any window is built
         raise ConfigError(f"--classes x --per-class x --length must be <= "
                           f"{MAX_SYNTH_SAMPLES} samples, got {samples}")
-    spec = data.SyntheticSpec(sample_rate=spec.sample_rate, classes=spec.classes[:args.classes])
+    spec = dataclasses.replace(spec, classes=spec.classes[:args.classes])
     windows = data.generate_synthetic(spec, args.per_class, args.seed, length=args.length)
     data.write_csv(windows, out,
                    comment=f"synthetic bearing windows: {args.classes} classes x "
                            f"{args.per_class}, L={args.length}, seed={args.seed}")
-    write_manifest(out.parent if out.parent != Path("") else Path("."), "synth", args)
+    write_manifest(out.parent, "synth", args)
     print(f"wrote {len(windows)} windows to {out}")
     return EXIT_OK
 
@@ -232,12 +229,12 @@ def _cost_lines(records: list[dict]) -> list[str]:
 
 
 def cmd_cost(args) -> int:
+    if args.csv is not None and not args.sweep:
+        raise ConfigError("--csv writes the sweep, so it needs --sweep")
     if args.sweep:
-        if args.sweep != "table4":
-            raise ConfigError(f"unknown sweep {args.sweep!r} (available: table4)")
         records = _sweep_records()
         print("\n".join(_cost_lines(records)))
-        if args.csv:
+        if args.csv is not None:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(",".join(records[0]) + "\n")
                 for r in records:   # floats in full (repr), the rest as printed
@@ -260,8 +257,6 @@ def cmd_embed(args) -> int:
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
     windows = data.load_csv(args.data, length=cfg.L, n_class=cfg.n_class)
-    if not windows:
-        raise DataError(f"{args.data} holds no windows")
     if args.max_points is not None and len(windows) > args.max_points:
         keep = np.random.default_rng(args.seed).choice(len(windows), args.max_points,
                                                        replace=False)
@@ -270,8 +265,8 @@ def cmd_embed(args) -> int:
     points = analysis.export_embeddings(model, windows, out,
                                         perplexity=args.perplexity,
                                         iterations=args.iterations, seed=args.seed)
-    write_manifest(out.parent if out.parent != Path("") else Path("."), "embed", args,
-                   config=cfg, inputs=[Path(args.checkpoint), Path(args.data)])
+    write_manifest(out.parent, "embed", args, config=cfg,
+                   inputs=[Path(args.checkpoint), Path(args.data)])
     print(f"wrote {len(points)} embedding points "
           f"({cfg.depth + 1} stages x {len(windows)} windows) to {out}")
     return EXIT_OK
@@ -280,8 +275,16 @@ def cmd_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ConfigError``, which ``main`` prints as one line,
+    instead of printing the usage block and exiting."""
+
+    def error(self, message):   # an unrecognized argument is echoed as given, newlines too
+        raise ConfigError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tst",
         description="Time series transformer for vibration fault diagnosis.",
     )
@@ -326,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("cost", help="analytic FLOPs / parameter report")
-    p.add_argument("--sweep", help="named sweep to print (table4: the bundled "
-                                   "reference sweep with expected values)")
+    p.add_argument("--sweep", choices=["table4"], help="named sweep to print (table4: the "
+                   "bundled reference sweep with expected values)")
     p.add_argument("--csv", help="also write the sweep in delimited form")
     _add_override_flags(p)
     p.set_defaults(func=cmd_cost)
@@ -346,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)   # --help and --version still exit 0
         _require_at_least(args, 0, "seed", "base_seed", "split_seed")   # numpy's seed domain
         return args.func(args)
     except ConfigError as exc:

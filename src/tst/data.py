@@ -12,8 +12,7 @@ frequency and differ in impulse amplitude and decay.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
             windows.append(LabeledWindow(samples=samples, label=label,
                                          source_id=f"{path}:{lineno}"))
     if not windows:
-        warnings.warn(f"{path} holds no data rows", stacklevel=2)
+        raise DataError(f"{path} holds no data rows")
     return windows
 
 
@@ -116,27 +115,24 @@ class ClassSpec:
     noise_std: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     sample_rate: float = 12_000.0
-    classes: list[ClassSpec] = field(default_factory=list)
+    classes: tuple[ClassSpec, ...] = ()
 
-    def validate(self):
+    def __post_init__(self):   # runs on construction and dataclasses.replace alike
+        object.__setattr__(self, "classes", tuple(self.classes))   # a list may be passed
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
         nyquist = self.sample_rate / 2
-        seen = set()
         for i, c in enumerate(self.classes):
             if not (0 < c.rep_hz < nyquist and 0 < c.res_hz < nyquist):
                 raise ConfigError(
                     f"class {i}: frequencies must lie in (0, {nyquist}), got "
                     f"rep={c.rep_hz}, res={c.res_hz}"
                 )
-            key = (c.rep_hz, c.res_hz, c.decay, c.amplitude, c.noise_std)
-            if key in seen:
+            if c in self.classes[:i]:
                 raise ConfigError(f"class {i} duplicates another class's parameters")
-            seen.add(key)
-        return self
 
 
 def default_synthetic_spec() -> SyntheticSpec:
@@ -177,7 +173,6 @@ def _impulse_train(spec: ClassSpec, n: int, sample_rate: float,
 def generate_synthetic(spec: SyntheticSpec, n_per_class: int, seed: int,
                        length: int) -> list[LabeledWindow]:
     """Balanced labeled windows, bit-reproducible for a given seed."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     windows = []
     for label, cls in enumerate(spec.classes):

@@ -59,7 +59,7 @@ class TSTConfig:
     def sub_len(self) -> int:
         return self.L // self.ns
 
-    def validate(self):
+    def __post_init__(self):   # runs on construction and dataclasses.replace: every config is valid
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -85,7 +85,6 @@ class TSTConfig:
         if not (0.0 < self.lr < math.inf and 0.0 < self.lr_gamma < math.inf):   # nan fails too
             raise ConfigError(f"lr and lr_gamma must be positive and finite, got "
                               f"{self.lr} and {self.lr_gamma}")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -99,7 +98,7 @@ class TSTConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d).validate()
+        return cls(**d)
 
 
 # the config fields by type, in declared order: the checkpoint's field layout
@@ -129,7 +128,6 @@ class TSTModel:
     _HALF_MIN = 2**17
 
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
-        config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
@@ -247,9 +245,10 @@ def _one_blas_thread() -> bool:
 @functools.cache
 def _one_malloc_arena():
     """Caps glibc at one malloc arena (``mallopt(M_ARENA_MAX, 1)``), once, before the first
-    worker starts: a worker would otherwise allocate from an arena of its own, and a desk
-    trial training on two threads peaked 8.6-11% higher. Skipped where libc has no
-    ``mallopt``."""
+    worker starts: a worker would otherwise allocate from an arena of its own. Without the
+    cap, over six alternating pairs of 30 s benchmark runs on a 2-core host, stock_train
+    peaked 0.6-2.0% higher (median 916 against 900 MB) and stock_infer 1.0-6.7% higher (614
+    against 585 MB), in every pair. Skipped where libc has no ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
@@ -294,7 +293,7 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
 
 
 def save_checkpoint(model: TSTModel, path):
-    cfg = model.config.validate()   # every int field must fit its u32
+    cfg = model.config   # valid, so every int field fits its u32
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<" + "I" * len(_INT_FIELDS),
@@ -330,7 +329,7 @@ def load_checkpoint(path, expected_config: TSTConfig | None = None) -> TSTModel:
             raise DataError(f"checkpoint position-encoding flag is {pos_flag}, not 0 or 1")
         cfg = TSTConfig(**dict(zip(_INT_FIELDS, ints)),
                         **dict(zip(_FLOAT_FIELDS, floats)),
-                        pos_encoding=POS_LEARNED_1D if pos_flag else POS_NONE).validate()
+                        pos_encoding=POS_LEARNED_1D if pos_flag else POS_NONE)
         if expected_config is not None and cfg != expected_config:
             raise ConfigError(f"checkpoint config {cfg} does not match expected {expected_config}")
         # the float32 values alone fill 4 bytes per parameter: check the file

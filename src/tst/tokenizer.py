@@ -40,7 +40,6 @@ class TokenizerParams:
 
     @classmethod
     def init(cls, config: TSTConfig, rng: np.random.Generator, dtype=np.float32):
-        config.validate()
         w = Tensor(T.xavier_uniform(rng, config.sub_len, config.dim, dtype), requires_grad=True)
         ct = Tensor(rng.normal(0.0, INIT_STD, size=(1, config.dim)).astype(dtype), requires_grad=True)
         pos = None

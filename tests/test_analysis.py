@@ -58,7 +58,7 @@ def test_reference_sweep_reconciles():
 def test_macs_are_linear_in_token_count():
     # hold everything but ns fixed (L included): the block term must be an
     # affine function of ns + 1, checked by vanishing second differences
-    base = TSTConfig(L=64, dim=16, dim_mlp=32, d_k=8, heads=2, depth=3)
+    base = TSTConfig(L=64, ns=2, dim=16, dim_mlp=32, d_k=8, heads=2, depth=3)
     values = {}
     for ns in (2, 4, 8, 16):
         cfg = dataclasses.replace(base, ns=ns)

@@ -300,6 +300,33 @@ def test_cost_sweep_csv(tmp_path):
     assert lines[0].startswith("label,ns,sub_len,dim")
 
 
+def test_cost_csv_without_sweep_is_config_error_and_writes_nothing(tmp_path, capsys):
+    csv = tmp_path / "sweep.csv"
+    assert run(["cost", "--csv", str(csv)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --csv writes the sweep, so it needs --sweep\n"
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--ns", "abc", "--data", "set.csv", "--out-dir", "run"],
+    ["train", "--data", "set.csv", "--out-dir", "run", "--no-such-flag"],
+    ["train", "--out-dir", "run"], [], ["cost", "--sweep", ""], ["cost", "--sweep", "table5"],
+], ids=["non-numeric-int", "unknown-flag", "missing-data", "no-subcommand", "empty-sweep",
+        "unknown-sweep"])
+def test_bad_command_line_is_one_line_config_error(capsys, argv):
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and "usage:" not in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as done:
+        run([flag])
+    assert done.value.code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_embed_stage_count(small_dataset, tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--data", str(small_dataset), "--seed", "2",
@@ -399,12 +426,28 @@ def test_embed_rejects_bad_tsne_inputs(tiny_embed_inputs, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "study", "embed"])
+def test_csv_without_data_rows_is_one_line_data_error(tiny_embed_inputs, tmp_path, capsys,
+                                                      command):
+    csv, out = tmp_path / "empty.csv", tmp_path / "out"
+    csv.write_text("# a header and no rows\n")
+    argv = {"train": ["train", "--out-dir", str(out)],
+            "study": ["study", "--trials", "1", "--out-dir", str(out)],
+            "embed": ["embed", "--checkpoint", str(tiny_embed_inputs / "model.tst"),
+                      "--out", str(out)]}[command]
+    assert run(argv + ["--data", str(csv)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {csv} holds no data rows\n"
+    assert not out.exists()
+
+
 # argv fuzzing: each flag is absent, an accepted value of its declared type,
 # or an edge: a negative, 0, a value just past a bound, 2**32, a non-finite
-# float. Sizes that allocate (synth counts, t-SNE iterations) stay small and
-# are always given, so every accepted run takes milliseconds (a synth count
-# edge past cli.MAX_SYNTH_SAMPLES is rejected before any window is built); so
-# is the perplexity, whose default needs more points than the tiny dataset has.
+# float. At most one flag is then given again, malformed (not of its type or
+# not one of its choices), or an unknown flag is added. Sizes that allocate
+# (synth counts, t-SNE iterations) stay small and are always given, so every
+# accepted run takes milliseconds (a synth count edge past
+# cli.MAX_SYNTH_SAMPLES is rejected before any window is built); so is the
+# perplexity, whose default needs more points than the tiny dataset has.
 def _pick(accepted, *edges):
     return st.one_of(accepted, st.sampled_from(edges))
 
@@ -439,6 +482,11 @@ def _argv(draw):
         value = draw(values if flag in _ALWAYS else st.none() | values)
         if value is not None:
             argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    malformed = draw(st.none() | st.sampled_from(sorted(_FLAGS[command])) | st.just("--bogus"))
+    if malformed == "--bogus":
+        argv.append(malformed)
+    elif malformed is not None:   # the last value of a repeated flag is the one parsed
+        argv.append(f"{malformed}={draw(st.sampled_from(['abc', '', '1.5', '1e', '0x10']))}")
     return argv
 
 
@@ -455,7 +503,7 @@ def test_cli_argv_fuzz_exits_with_a_documented_code_and_one_line(tiny_embed_inpu
         code = run(argv + paths[argv[0]])
     err = stderr.getvalue()
     assert code in (0, 2, 3, 4), (argv, err)
-    assert err.count("\n") <= 1, (argv, err)
+    assert err.count("\n") <= 1 and "usage:" not in err, (argv, err)
     assert "internal error:" not in err, (argv, err)
 
 

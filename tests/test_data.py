@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -86,11 +88,12 @@ def test_csv_single_row(tmp_path):
     assert rows[0].samples.shape == (8,)
 
 
-def test_csv_empty_file_warns(tmp_path):
+def test_csv_without_data_rows_is_data_error(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("")
-    with pytest.warns(UserWarning):
-        assert data.load_csv(p, length=8, n_class=10) == []
+    for text in ("", "# a header and a blank line\n\n"):
+        p.write_text(text)
+        with pytest.raises(DataError, match=r"empty\.csv holds no data rows"):
+            data.load_csv(p, length=8, n_class=10)
 
 
 def test_csv_errors_name_the_line(tmp_path):
@@ -150,7 +153,6 @@ _CSV_LINES = st.one_of(st.lists(_CSV_TOKENS, max_size=6).map(",".join).map(str.e
 
 
 @FUZZ
-@pytest.mark.filterwarnings("ignore:.*holds no data rows:UserWarning")
 @given(lines=st.lists(_CSV_LINES, max_size=6), length=st.sampled_from([1, 2, 3]))
 def test_csv_from_any_bytes_loads_checked_windows_or_data_error(tmp_path_factory, lines,
                                                                 length):
@@ -214,13 +216,22 @@ def test_synthetic_deterministic():
 def test_synthetic_duplicate_class_rejected():
     c = data.ClassSpec(rep_hz=100.0, res_hz=1000.0, decay=500.0, amplitude=1.0, noise_std=0.1)
     with pytest.raises(ConfigError, match="duplicates"):
-        data.SyntheticSpec(classes=[c, c]).validate()
+        data.SyntheticSpec(classes=[c, c])
+
+
+def test_synthetic_spec_is_checked_on_replace_and_frozen():
+    spec = data.default_synthetic_spec()
+    with pytest.raises(ConfigError, match="class 10 duplicates"):
+        dataclasses.replace(spec, classes=spec.classes + spec.classes[:1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.classes = ()
+    assert data.SyntheticSpec(classes=list(spec.classes)) == spec   # a list is held as a tuple
 
 
 def test_synthetic_nyquist_guard():
     c = data.ClassSpec(rep_hz=100.0, res_hz=7000.0, decay=500.0, amplitude=1.0, noise_std=0.1)
     with pytest.raises(ConfigError, match="frequencies"):
-        data.SyntheticSpec(sample_rate=12000.0, classes=[c]).validate()
+        data.SyntheticSpec(sample_rate=12000.0, classes=[c])
 
 
 def test_noiseless_train_is_periodic_at_repetition_period():

@@ -40,30 +40,30 @@ def test_default_config_is_stock():
 
 def test_config_validation_rejects_bad_combos():
     with pytest.raises(ConfigError):
-        TSTConfig(ns=3).validate()          # 2048 % 3 != 0
+        TSTConfig(ns=3)   # 2048 % 3 != 0
     with pytest.raises(ConfigError):
-        TSTConfig(p_drop=1.0).validate()
+        TSTConfig(p_drop=1.0)
     with pytest.raises(ConfigError):
-        TSTConfig(pos_encoding="2d").validate()
+        TSTConfig(pos_encoding="2d")
     with pytest.raises(ConfigError):
         TSTConfig.from_dict({"dim": 32, "bogus": 1})
     with pytest.raises(ConfigError):
-        TSTConfig(L=0, ns=1).validate()
+        TSTConfig(L=0, ns=1)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
-            TSTConfig(lr=bad).validate()
+            TSTConfig(lr=bad)
         with pytest.raises(ConfigError, match="finite"):
-            TSTConfig(lr_gamma=bad).validate()
+            TSTConfig(lr_gamma=bad)
 
 
 def test_config_int_fields_must_fit_u32():
     assert tstmodel._INT_FIELDS == ("L", "ns", "dim", "dim_mlp", "d_k", "heads", "depth",
                                     "n_class", "lr_step", "batch_size", "epochs")
     assert tstmodel._FLOAT_FIELDS == ("p_drop", "lr", "lr_gamma")
-    TSTConfig(epochs=2**32 - 1).validate()
+    TSTConfig(epochs=2**32 - 1)
     for name in tstmodel._INT_FIELDS:
         with pytest.raises(ConfigError, match=name):
-            TSTConfig(**{name: 2**32}).validate()
+            TSTConfig(**{name: 2**32})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -73,12 +73,23 @@ def test_config_int_fields_must_fit_u32():
 ])
 def test_config_fields_must_have_their_types(field, value):
     with pytest.raises(ConfigError, match=field):
-        TSTConfig(**{field: value}).validate()
+        TSTConfig(**{field: value})
 
 
 def test_config_accepts_ints_for_floats_and_numpy_scalars():
     """An int where a float is declared is a number; numpy scalars are too."""
-    TSTConfig(p_drop=0, lr=1, lr_gamma=np.float32(0.5), dim=np.int64(64)).validate()
+    TSTConfig(p_drop=0, lr=1, lr_gamma=np.float32(0.5), dim=np.int64(64))
+
+
+@pytest.mark.parametrize("change", [{"lr": -1.0}, {"batch_size": 0}, {"ns": 3}, {"epochs": 2**32},
+                                    {"p_drop": math.nan}, {"pos_encoding": "2d"}],
+                         ids=["lr", "batch_size", "ns", "epochs", "p_drop", "pos_encoding"])
+def test_replace_rejects_what_construction_rejects(change):
+    with pytest.raises(ConfigError) as built:
+        TSTConfig(**change)
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(TSTConfig(), **change)
+    assert str(replaced.value) == str(built.value)
 
 
 def test_config_is_frozen():
@@ -90,8 +101,8 @@ def test_config_is_frozen():
 
 def test_save_checkpoint_rejects_field_beyond_u32(tmp_path):
     model = tiny_model()
-    model.config = dataclasses.replace(model.config, epochs=2**32)
-    with pytest.raises(ConfigError, match="epochs"):
+    with pytest.raises(ConfigError, match="epochs"):   # no model can hold such a config
+        model.config = dataclasses.replace(model.config, epochs=2**32)
         save_checkpoint(model, tmp_path / "model.tst")
     assert not (tmp_path / "model.tst").exists()
 
@@ -446,7 +457,7 @@ def valid_configs(draw):
 @FUZZ
 @given(cfg=valid_configs())
 def test_valid_config_round_trips_through_json(cfg):
-    text = json.dumps(cfg.validate().to_dict())
+    text = json.dumps(cfg.to_dict())
     back = TSTConfig.from_dict(json.loads(text))
     assert back == cfg
     assert json.dumps(back.to_dict()) == text
