@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -331,6 +332,7 @@ def export_embeddings(model: TSTModel, windows, path, perplexity: float = 30.0,
         for (px, py), label in zip(result.coords, labels):
             points.append(EmbeddingPoint(x=float(px), y=float(py),
                                          label=int(label), block_index=block_index))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block_index,label,x,y\n")
         for pt in points:

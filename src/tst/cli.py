@@ -142,6 +142,7 @@ def cmd_synth(args) -> int:
                           f"{MAX_SYNTH_SAMPLES} samples, got {samples}")
     spec = dataclasses.replace(spec, classes=spec.classes[:args.classes])
     windows = data.generate_synthetic(spec, args.per_class, args.seed, length=args.length)
+    out.parent.mkdir(parents=True, exist_ok=True)
     data.write_csv(windows, out,
                    comment=f"synthetic bearing windows: {args.classes} classes x "
                            f"{args.per_class}, L={args.length}, seed={args.seed}")
@@ -232,6 +233,10 @@ def cmd_cost(args) -> int:
     if args.csv is not None and not args.sweep:
         raise ConfigError("--csv writes the sweep, so it needs --sweep")
     if args.sweep:
+        given = " or ".join(f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+                            if v is not None and k not in ("subcommand", "func", "sweep", "csv"))
+        if given:   # the other cost flags build the one config that --sweep does not print
+            raise ConfigError(f"--sweep prints its own configs, so it takes no {given}")
         records = _sweep_records()
         print("\n".join(_cost_lines(records)))
         if args.csv is not None:

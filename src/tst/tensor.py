@@ -63,6 +63,9 @@ _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
 # elements per pass of the float32 kernel: its three 256 KiB buffers stay in
 # cache, which on the stock MLP's activations runs ~3x faster than whole-array passes
 _GELU_CHUNK = 2**16
+# score elements per attention block: a 1 MiB float32 tile, half a 2 MiB
+# per-core L2, so the softmax passes over it do not stream from memory
+_ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 _GRAD_STATE = threading.local()
@@ -415,12 +418,18 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     from all n rows; queries only from the leading m = ``queries`` rows (all
     of them by default), so the output has one row per query. The heads are
     strided views of two projection products (one key/value GEMM over all
-    rows, one query GEMM over the leading m), q is scaled in place and the
-    max-shifted softmax overwrites the scores, so besides its output the
-    node keeps only x, the concatenated weights, the scaled q, k, v and the
-    (B, heads, m, n) probabilities; the pullback writes the softmax, matmul and projection
-    adjoints out by hand, with a zero query adjoint for the rows past m.
-    With ``return_weights`` a copy of the probabilities comes back as well.
+    rows, one query GEMM over the leading m), and q is scaled in place.
+
+    Scores, softmax and context run over blocks of batch rows whose
+    (rows, heads, m, n) score tile holds at most ``_ATTN_BLOCK`` elements
+    (at least one row), so the softmax passes run while the tile is in
+    cache. Without a graph or ``return_weights`` one tile is reused for
+    every block and the full probabilities are never built. A recorded node
+    keeps, besides its output, x, the concatenated weights, the scaled q, k,
+    v and the full (B, heads, m, n) probabilities; its pullback writes the
+    softmax, matmul and projection adjoints out by hand, block by block,
+    with a zero query adjoint for the rows past m. With ``return_weights``
+    the probabilities come back as well.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
@@ -443,29 +452,39 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     q = q.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
     scale = q.dtype.type(1.0 / math.sqrt(d_k))
     q *= scale                     # scale q rather than the much larger scores
-    probs = np.matmul(q, k.swapaxes(-1, -2))
-    probs -= np.max(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
-    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, m, width)
+    rows = max(1, _ATTN_BLOCK // (heads * m * n))
+    blocks = [slice(r, min(r + rows, b)) for r in range(0, b, rows)]
+    keep = return_weights or _records(x, w_q, w_k, w_v)
+    probs = np.empty((b if keep else min(rows, b), heads, m, n), dtype=q.dtype)
+    out = np.empty((b, m, heads, d_k), dtype=q.dtype)
+    for r in blocks:
+        p = probs[r] if keep else probs[:r.stop - r.start]
+        np.matmul(q[r], k[r].swapaxes(-1, -2), out=p)
+        p -= np.max(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=-1, keepdims=True)
+        np.matmul(p, v[r], out=out[r].transpose(0, 2, 1, 3))
+    out = out.reshape(b, m, width)
     x_data, x_grad = x.data, x.requires_grad
 
     def vjp(g):
         g_ctx = g.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
         d_qkv = np.empty((b, n, 3, heads, d_k), dtype=g.dtype)
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(probs.swapaxes(-1, -2), g_ctx, out=dv)
-        d_scores = np.matmul(g_ctx, v.swapaxes(-1, -2))    # d probs, then in place d scores
-        # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
-        # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
-        inner = np.sum((g * out).reshape(b, m, heads, d_k), axis=-1)
-        d_scores -= inner.transpose(0, 2, 1)[..., None]
-        d_scores *= probs
         dq[:, :, m:] = 0.0         # rows past m asked no query
         dq = dq[:, :, :m]
-        np.matmul(d_scores, k, out=dq)
+        # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
+        # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
+        inner = np.sum((g * out).reshape(b, m, heads, d_k), axis=-1).transpose(0, 2, 1)[..., None]
+        tile = np.empty((min(rows, b), heads, m, n), dtype=g.dtype)
+        for r in blocks:
+            np.matmul(probs[r].swapaxes(-1, -2), g_ctx[r], out=dv[r])
+            d_scores = np.matmul(g_ctx[r], v[r].swapaxes(-1, -2), out=tile[:r.stop - r.start])
+            d_scores -= inner[r]   # d probs, then in place d scores
+            d_scores *= probs[r]
+            np.matmul(d_scores, k[r], out=dq[r])
+            np.matmul(d_scores.swapaxes(-1, -2), q[r], out=dk[r])
         dq *= scale
-        np.matmul(d_scores.swapaxes(-1, -2), q, out=dk)
         d_qkv = d_qkv.reshape(b * n, 3 * width)
         gx = np.matmul(d_qkv, w.T).reshape(b, n, dim) if x_grad else None
         gw = np.matmul(x_data.reshape(b * n, dim).T, d_qkv)

@@ -23,7 +23,10 @@ projections, the per-head scaled dot products, the softmax and the head
 merge run as a single node whose hand-written pullback keeps only the
 block input, q, k, v and the attention probabilities, not the scores or
 any per-head transpose copy; in the class-only block those probabilities
-are (B, heads, 1, n). Only ``w_o`` is a separate matmul.
+are (B, heads, 1, n). The op works through cache-sized blocks of batch
+rows: in training the node keeps the full (B, heads, m, n) probabilities,
+while an eval forward keeps one block's tile and never the whole tensor.
+Only ``w_o`` is a separate matmul.
 """
 
 from __future__ import annotations

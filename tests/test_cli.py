@@ -307,6 +307,19 @@ def test_cost_csv_without_sweep_is_config_error_and_writes_nothing(tmp_path, cap
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("flags", [["--ns", "3"], ["--config", "nonexist.json"],
+                                   ["--config", "nonexist.json", "--ns", "3"],
+                                   ["--pos-encoding", "none"]], ids=" ".join)
+def test_cost_sweep_with_a_config_flag_is_config_error_and_writes_nothing(tmp_path, capsys,
+                                                                          flags):
+    csv = tmp_path / "sweep.csv"
+    assert run(["cost", "--sweep", "table4", "--csv", str(csv)] + flags) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv.exists()
+    given = " or ".join(flag for flag in flags if flag.startswith("--"))
+    assert captured.err == f"config error: --sweep prints its own configs, so it takes no {given}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--ns", "abc", "--data", "set.csv", "--out-dir", "run"],
     ["train", "--data", "set.csv", "--out-dir", "run", "--no-such-flag"],
@@ -370,6 +383,14 @@ def test_synth_rejects_bad_counts_and_writes_nothing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_synth_creates_the_directory_of_its_output(tmp_path):
+    out = tmp_path / "new" / "dir" / "set.csv"
+    assert run(["synth", "--classes", "2", "--per-class", "2", "--length", "16",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 4   # the comment line, then the windows
+    assert (out.parent / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"], ["train", "--split-seed", "-1"],
     ["study", "--trials", "1", "--base-seed", "-1"],
@@ -424,6 +445,15 @@ def test_embed_rejects_bad_tsne_inputs(tiny_embed_inputs, capsys, flags):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_embed_creates_the_directory_of_its_output(tiny_embed_inputs, tmp_path):
+    out = tmp_path / "new" / "dir" / "embedding.csv"
+    assert run(["embed", "--checkpoint", str(tiny_embed_inputs / "model.tst"),
+                "--data", str(tiny_embed_inputs / "set.csv"), "--perplexity", "2",
+                "--iterations", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + (TINY_MODEL.depth + 1) * 12
+    assert (out.parent / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "study", "embed"])

@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from conftest import op_grad_check
+from conftest import call_bounded, op_grad_check
 from oracles import scaled_dot_product_attention, self_attention
 from oracles import stack_forward as all_rows_stack_forward
 from tst import model as tstmodel
@@ -97,11 +99,22 @@ def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3):
     return [rng.normal(size=(b, n, dim))] + [rng.normal(size=(dim, width)) for _ in range(3)]
 
 
-# queries=None: every row queries; "query1": only slot 0 does, as in the last block
-@pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (3, None), (2, 1)],
-                         ids=["1", "2", "3", "2-query1"])
-def test_self_attention_gradients_match_finite_differences(rng, heads, queries):
-    arrays = _attention_inputs(rng, heads)
+def _blocks_of_two(monkeypatch, heads, n, queries):
+    """Shrink the score block so a batch runs as blocks of two rows."""
+    monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * heads * (queries or n) * n)
+
+
+# queries=None: every row queries; "query1": only slot 0 does, as in the last block;
+# "blocks": five rows in blocks of 2, 2 and 1
+@pytest.mark.parametrize("heads, queries, blocks",
+                         [(1, None, False), (2, None, False), (3, None, False), (2, 1, False),
+                          (2, None, True), (2, 1, True)],
+                         ids=["1", "2", "3", "2-query1", "2-blocks", "2-query1-blocks"])
+def test_self_attention_gradients_match_finite_differences(rng, monkeypatch, heads, queries,
+                                                           blocks):
+    if blocks:
+        _blocks_of_two(monkeypatch, heads, n=5, queries=queries)
+    arrays = _attention_inputs(rng, heads, b=5 if blocks else 2)
     err = op_grad_check(lambda t: T.self_attention(*t, heads, queries=queries), arrays)
     assert err < 1e-4, f"heads={heads}: worst relative error {err:.2e}"
 
@@ -132,6 +145,41 @@ def test_self_attention_rejects_mismatched_shapes(rng):
     for queries in (0, 6):   # the input has 5 rows
         with pytest.raises(ShapeError):
             T.self_attention(x, w_q, w_k, w_v, heads=2, queries=queries)
+
+
+@pytest.mark.parametrize("queries", [None, 1], ids=["all-rows", "query1"])
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
+@pytest.mark.parametrize("return_weights", [False, True], ids=["out", "maps"])
+def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph,
+                                                   return_weights):
+    heads, n = 2, 7
+    arrays = [a.astype(np.float32) for a in _attention_inputs(rng, heads, b=5, n=n, dim=6)]
+    weighting = Tensor(rng.normal(size=(5, queries or n, heads * 3)).astype(np.float32))
+
+    def attend():
+        inputs = [Tensor(a, requires_grad=graph) for a in arrays]
+        with T.no_grad() if not graph else contextlib.nullcontext():
+            result = T.self_attention(*inputs, heads, return_weights, queries)
+        out, maps = result if return_weights else (result, None)
+        grads = backward(T.tsum(T.mul(out, weighting)), inputs) if graph else []
+        return [out.data, maps] + grads
+
+    whole = attend()                 # one block holds all 5 rows
+    _blocks_of_two(monkeypatch, heads, n, queries)
+    blocked = attend()               # blocks of 2, 2 and 1 rows
+    assert len(blocked) == 2 + 4 * graph
+    for one, many in zip(whole, blocked):
+        assert (one is None and many is None) or np.array_equal(one, many)
+
+
+def test_eval_attention_never_holds_the_full_probabilities(rng):
+    b, n, heads, dim = 32, 129, 4, 8
+    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32))]
+    inputs += [Tensor(rng.normal(size=(dim, dim)).astype(np.float32)) for _ in range(3)]
+    full_probs = b * heads * n * n * 4            # 8.5 MB of float32
+    with T.no_grad():
+        out = call_bounded(lambda: T.self_attention(*inputs, heads), full_probs)
+    assert out.shape == (b, n, dim)
 
 
 def test_attention_weights_row_stochastic(rng):
