@@ -21,7 +21,7 @@ import numbers
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -121,11 +121,11 @@ class TSTModel:
     """
 
     # rows x ns x dim of the config's half batch below which batches run whole, in training
-    # and in eval alike, so that every step of a trial records the same graphs. Below it two
-    # threads did not reliably gain on a 2-core host: desk training (2**16) moved -13% to
-    # +31% over five alternating pairs, and smaller shapes lost outright, as the per-op cost
-    # of two graphs outweighs the second core.
-    _HALF_MIN = 2**17
+    # and in eval alike, so that every step of a trial records the same graphs. At 2**16 the
+    # desk config (batch 64: 32 x 64 x 32 per half) shards; with one kept worker thread it
+    # trained faster than whole batches in every alternating benchmark pair on a 2-core host.
+    # Smaller shapes lost outright, as the per-op cost of two graphs outweighs the second core.
+    _HALF_MIN = 2**16
 
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -208,21 +208,23 @@ def _worker_core_free() -> bool:
 
 
 def _run_pair(first, second) -> tuple:
-    """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on a worker
-    thread, with the caller's grad mode; otherwise both run in turn on the calling thread.
-    Either way an exception of either call reaches the caller."""
+    """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on the kept
+    ``_worker()`` thread, with the caller's grad mode; otherwise both run in turn on the
+    calling thread. Either way an exception of either call reaches the caller once ``second``
+    has finished. Nothing run on the worker may call ``_run_pair``: one worker would deadlock."""
     if not _worker_core_free():
         return first(), second()
-    _one_malloc_arena()
     grad = T._grad_enabled()
 
-    def on_worker():   # the grad flag is per thread, and a new thread starts with it on
+    def on_worker():   # the grad flag is per thread, and the worker keeps the last call's
         with nullcontext() if grad else T.no_grad():
             return second()
 
-    with ThreadPoolExecutor(1) as pool:
-        later = pool.submit(on_worker)
+    later = _worker().submit(on_worker)
+    try:
         return first(), later.result()
+    finally:
+        wait((later,))
 
 
 @functools.cache
@@ -243,16 +245,19 @@ def _one_blas_thread() -> bool:
 
 
 @functools.cache
-def _one_malloc_arena():
-    """Caps glibc at one malloc arena (``mallopt(M_ARENA_MAX, 1)``), once, before the first
-    worker starts: a worker would otherwise allocate from an arena of its own. Without the
-    cap, over six alternating pairs of 30 s benchmark runs on a 2-core host, stock_train
+def _worker() -> ThreadPoolExecutor:
+    """The one worker thread that runs every second shard, started once for the process: a
+    fresh thread per call cost 165-210 us against ~40-45 us on a 2-core host. Before it starts,
+    glibc is capped at one malloc arena (``mallopt(M_ARENA_MAX, 1)``; skipped where libc has
+    no ``mallopt``), as the worker would otherwise allocate from an arena of its own. Without
+    the cap, over six alternating pairs of 30 s benchmark runs on that host, stock_train
     peaked 0.6-2.0% higher (median 916 against 900 MB) and stock_infer 1.0-6.7% higher (614
-    against 585 MB), in every pair. Skipped where libc has no ``mallopt``."""
+    against 585 MB), in every pair."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(-8, 1)   # M_ARENA_MAX
+    return ThreadPoolExecutor(1)
 
 
 def _joined(first: ForwardResult, second: ForwardResult) -> ForwardResult:

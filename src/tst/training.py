@@ -188,7 +188,7 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
     A batch that the forward runs as two row shards trains as two: each
     shard's loss is weighted by its share of the rows, so the shard gradients,
     summed in shard order, make the full batch's. The second shard's forward
-    and backward run on a worker thread when ``_worker_core_free()``. The
+    and backward run on the worker thread when ``_worker_core_free()``. The
     shards, their dropout generators and the order of the sum are fixed, so
     the outputs do not depend on which thread ran a shard, and on a 2-core
     host, where every GEMM runs at one OpenBLAS thread, not on

@@ -93,8 +93,9 @@ DESK_MODEL = ["--length", "512", "--ns", "64", "--dim", "32", "--dim-mlp", "64",
 @pytest.mark.skipif(not ON_TWO_CORES_WITH_OPENBLAS,
                     reason="needs a CPU affinity of exactly 2 cores and numpy's bundled OpenBLAS")
 def test_train_outputs_do_not_depend_on_the_openblas_thread_count(tmp_path):
-    """A desk-shaped trial trains whole batches; on 2 cores every GEMM runs at one OpenBLAS
-    thread whatever OPENBLAS_NUM_THREADS says."""
+    """A desk-shaped trial trains and evaluates its batches of 64 as two row shards, the
+    second on the worker thread; on 2 cores every GEMM runs at one OpenBLAS thread whatever
+    OPENBLAS_NUM_THREADS says."""
     dataset = tmp_path / "desk.csv"
     assert run(["synth", "--classes", "10", "--per-class", "30", "--seed", "1",
                 "--length", "512", "--out", str(dataset)]) == 0

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -36,6 +37,9 @@ def two_class_split(n_per_class=20, seed=5, length=64):
     return data.split_train_test(windows, 30, 10, seed=2)
 
 
+# criterion 5's desk config
+DESK_CFG = TSTConfig(L=512, ns=64, dim=32, dim_mlp=64, d_k=16, heads=2, depth=2, n_class=10,
+                     epochs=1, batch_size=64, lr=1e-3)
 TWO_CLASS_CFG = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2,
                           n_class=2, epochs=20, batch_size=8, lr=2e-3, p_drop=0.0)
 
@@ -287,10 +291,15 @@ def test_repeat_trials_ordering_invariant():
 
 
 def test_repeat_trials_parallel_matches_serial():
-    split = two_class_split()
-    serial = repeat_trials(split, quick_cfg(), seeds=[4, 5], jobs=1)
-    parallel = repeat_trials(split, quick_cfg(), seeds=[4, 5], jobs=2)
-    assert serial.trials == parallel.trials
+    # the desk shape trains as two row shards: with jobs=1 on a 2-core host the second
+    # runs on the worker thread, with jobs=2 both run in turn on the trial's thread
+    desk_windows = data.generate_synthetic(data.default_synthetic_spec(), 10, seed=3,
+                                           length=DESK_CFG.L)
+    for split, cfg in ((two_class_split(), quick_cfg()),
+                       (data.split_train_test(desk_windows, 80, 20, seed=1), DESK_CFG)):
+        serial = repeat_trials(split, cfg, seeds=[4, 5], jobs=1)
+        parallel = repeat_trials(split, cfg, seeds=[4, 5], jobs=2)
+        assert serial.trials == parallel.trials
 
 
 def test_repeat_trials_records_failures_and_continues(monkeypatch):
@@ -331,6 +340,8 @@ def test_train_and_study_need_at_least_one_epoch():
 # forwards over two row shards
 
 SPLIT_CFG = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2, n_class=4)
+# the smallest SPLIT_CFG batch size whose half batch holds _HALF_MIN activations
+SPLIT_ROWS = 2 * math.ceil(TSTModel._HALF_MIN / (SPLIT_CFG.ns * SPLIT_CFG.dim))
 
 
 # the worker needs numpy's bundled OpenBLAS, which it sets to one thread
@@ -455,12 +466,12 @@ def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
     assert sorted(forward_calls) == [(3, False), (3, True), (3, True), (4, False)]
 
 
-@pytest.mark.parametrize("rows, halves", [(1023, [1023]), (1024, [512, 512])])
+@pytest.mark.parametrize("rows, halves", [(SPLIT_ROWS - 1, [SPLIT_ROWS - 1]),
+                                          (SPLIT_ROWS, [SPLIT_ROWS // 2] * 2)],
+                         ids=["below", "at"])
 def test_eval_batch_splits_once_its_smaller_half_reaches_the_threshold(monkeypatch, forward_calls,
                                                                         rows, halves):
-    # SPLIT_CFG has ns * dim = 256 activations per row: 512 rows make 2**17. A batch of
-    # the config's size has the config's half batch as its smaller half.
-    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
+    # a batch of the config's size has the config's half batch as its smaller half
     monkeypatch.setattr(tstmodel, "_CORES", 2)
     model = split_model()
     model.config = replace(SPLIT_CFG, batch_size=rows)
@@ -478,6 +489,14 @@ def test_evaluate_records_no_graph_on_any_thread(small_halves, forward_calls, mo
         return real(parents, vjp)
 
     monkeypatch.setattr(T, "_Node", counting)
+    # a training step first: the worker, where there is one, records the second shard's
+    # graph in grad mode, and must not keep recording in the no_grad eval that follows
+    result = model.forward(x[:8], training=True, rng=np.random.default_rng(0))
+    training._shard_gradients(training._shard_losses(result.shards, y[:8]),
+                              [p for _, p in model.parameters()])
+    assert len(set(made)) == 1 + tstmodel._worker_core_free()
+    made.clear()
+    forward_calls.clear()
     evaluate(model, x, y, 8)
     assert made == [] and sorted(rows for rows, _ in forward_calls) == [2, 3, 4, 4]
     # the counter does see a recorded graph
@@ -506,6 +525,34 @@ def test_eval_errors_in_either_half_reach_the_caller(small_halves, monkeypatch):
         evaluate(model, x[:7], y[:7], 7)
 
 
+@needs_worker
+def test_run_pair_runs_every_second_call_on_one_kept_worker_thread(monkeypatch):
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    caller = threading.get_ident()
+    pairs = [tstmodel._run_pair(threading.get_ident, threading.get_ident) for _ in range(2)]
+    assert pairs[0][0] == pairs[1][0] == caller
+    assert pairs[0][1] == pairs[1][1] != caller
+
+
+@needs_worker
+def test_run_pair_waits_for_the_worker_before_the_first_calls_error_propagates(monkeypatch):
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    started, finished = threading.Event(), threading.Event()
+
+    def first():
+        assert started.wait(60)
+        raise RuntimeError("injected")
+
+    def second():
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(RuntimeError, match="injected"):
+        tstmodel._run_pair(first, second)
+    assert finished.is_set()
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 5])
 def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
     seen = set()
@@ -528,13 +575,17 @@ def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("batch_size, shards", [(1023, [7]), (1024, [4, 3])])
-def test_training_shards_once_the_configs_half_batch_reaches_the_threshold(batch_size, shards,
+@pytest.mark.parametrize("cfg, rows, shards", [
+    (replace(SPLIT_CFG, batch_size=SPLIT_ROWS - 1), 7, [7]),
+    # a last, partial batch follows its trial's choice, in eval too
+    (replace(SPLIT_CFG, batch_size=SPLIT_ROWS), 7, [4, 3]),
+    (DESK_CFG, 64, [32, 32]),   # criterion 5's: 32 x 64 x 32 = 2**16 activations per half
+    (replace(DESK_CFG, ns=1), 64, [64]),   # criterion 6's ns 1: 32 activations per row
+], ids=["below", "at", "desk", "desk-ns1"])
+def test_training_shards_once_the_configs_half_batch_reaches_the_threshold(cfg, rows, shards,
                                                                            training):
-    # SPLIT_CFG has ns * dim = 256 activations per row: a half batch of 512 rows makes 2**17
-    assert TSTModel._HALF_MIN == 2**17 and SPLIT_CFG.ns * SPLIT_CFG.dim == 256
-    model = TSTModel(replace(SPLIT_CFG, batch_size=batch_size), seed=3)
-    x, _ = split_inputs(7)   # a last, partial batch follows its trial's choice, in eval too
+    model = TSTModel(cfg, seed=3)
+    x = np.random.default_rng(5).normal(size=(rows, cfg.L)).astype(np.float32)
     result = model.forward(x, training=training, rng=np.random.default_rng(1))
     assert [len(s.data) for s in result.shards] == shards
 
