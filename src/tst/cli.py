@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, analysis, data, training
 from .errors import ConfigError, DataError, TrainingAbort
-from .model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
+from .model import _CORES, TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,11 +72,13 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
 def resolve_config(args: argparse.Namespace) -> TSTConfig:
     """Config file (if any) over defaults, then explicit flag overrides."""
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 values = json.load(fh)
-            except ValueError as exc:   # malformed JSON or text that is not UTF-8
-                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from None
+        except OSError as exc:   # missing, a directory, or not readable
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except ValueError as exc:   # malformed JSON or text that is not UTF-8
+            raise ConfigError(f"{args.config} is not valid JSON: {exc}") from None
         cfg = TSTConfig.from_dict(values)
     else:
         cfg = TSTConfig()
@@ -176,6 +178,8 @@ def cmd_study(args) -> int:
     _require_at_least(args, 1, "trials", "jobs")   # before --trials sizes the seed list
     if args.trials > MAX_TRIALS:
         raise ConfigError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
+    if args.jobs > _CORES:   # each job is a thread holding its own model and data copy
+        raise ConfigError(f"--jobs must be <= {_CORES}, the usable cores, got {args.jobs}")
     cfg = resolve_config(args)
     out_dir = Path(args.out_dir)
     split = _load_split(args, cfg)

@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError
 class LabeledWindow:
     samples: np.ndarray     # (window_length,) float32
     label: int
-    source_id: str = ""
 
 
 @dataclass
@@ -61,6 +60,8 @@ def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
+    except OSError as exc:   # a directory, or a file this process may not read
+        raise DataError(f"cannot open dataset file {path}: {exc.strerror}") from None
     with fh, np.errstate(over="ignore"):   # beyond float32 becomes inf, rejected below
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -83,8 +84,7 @@ def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
                 raise DataError(f"{path}:{lineno}: non-numeric sample value") from None
             if not np.isfinite(samples).all():
                 raise DataError(f"{path}:{lineno}: non-finite sample value")
-            windows.append(LabeledWindow(samples=samples, label=label,
-                                         source_id=f"{path}:{lineno}"))
+            windows.append(LabeledWindow(samples=samples, label=label))
     if not windows:
         raise DataError(f"{path} holds no data rows")
     return windows
@@ -176,10 +176,9 @@ def generate_synthetic(spec: SyntheticSpec, n_per_class: int, seed: int,
     rng = np.random.default_rng(seed)
     windows = []
     for label, cls in enumerate(spec.classes):
-        for i in range(n_per_class):
+        for _ in range(n_per_class):
             samples = _impulse_train(cls, length, spec.sample_rate, rng)
-            windows.append(LabeledWindow(samples=samples, label=label,
-                                         source_id=f"synth:c{label}:{i}"))
+            windows.append(LabeledWindow(samples=samples, label=label))
     return windows
 
 

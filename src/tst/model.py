@@ -322,7 +322,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path, expected_config: TSTConfig | None = None) -> TSTModel:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:   # missing, a directory, or not readable
+        raise DataError(f"cannot open checkpoint {path}: {exc.strerror}") from None
+    with fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise DataError(f"{path} is not a TST checkpoint")
         ints = struct.unpack("<" + "I" * len(_INT_FIELDS),

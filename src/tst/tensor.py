@@ -15,9 +15,9 @@ pullback binds the arrays, shapes and flags its formula
 uses (a matmul keeps its operands, an add only their shapes, ``gelu`` its
 derivative). So an intermediate value no pullback reads is freed as soon
 as the forward drops its tensor, not when backward reaches it.
-``Tensor._vjp`` reads and replaces the node's pullback; nothing in the
-package needs it, but the benchmark's span tracer wraps pullbacks through
-it.
+``Tensor._vjp`` reads and replaces the node's pullback: ``backward()``
+reads it to tell a leaf from an op result, and the benchmark's span tracer
+wraps pullbacks through it.
 
 A graph can be backpropagated once. Backward releases it as it goes: each
 interior node drops its parents and its pullback (and with them every
@@ -159,32 +159,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
-
-    # operator sugar; everything routes through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return tslice(self, key)
@@ -333,17 +307,7 @@ def neg(a) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    data = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a_shape) if a_grad else None,
-            _unbroadcast(-g, b_shape) if b_grad else None,
-        )
-
-    return _result(data, (a, b), vjp)
+    return add(a, neg(b))
 
 
 def mul(a, b) -> Tensor:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -51,20 +50,6 @@ class TokenizerParams:
         return cls(w_embed=w, class_token=ct, pos_table=pos)
 
 
-def split(series: Tensor, ns: int) -> Tensor:
-    """(B, L) -> (B, ns, L/ns) contiguous non-overlapping chunks, in order."""
-    series = T.as_tensor(series)
-    b, length = series.shape
-    if length % ns != 0:
-        raise ConfigError(f"series length {length} is not divisible into {ns} subsequences")
-    return T.reshape(series, (b, ns, length // ns))
-
-
-def embed(subseqs: Tensor, w_embed: Tensor) -> Tensor:
-    """Per-subsequence product with the shared embedding matrix (no bias)."""
-    return T.matmul(subseqs, w_embed)
-
-
 def tokenize(
     series: Tensor,
     params: TokenizerParams,
@@ -79,20 +64,11 @@ def tokenize(
     slot included; dropout is applied once to the summed result in training
     mode.
     """
-    series = T.as_tensor(series)
     b, length = series.shape
-    sub_len, dim = params.w_embed.shape
-    if length % sub_len != 0:
-        raise ConfigError(f"series length {length} does not tile with subsequence length {sub_len}")
-    ns = length // sub_len
-
-    tokens = embed(split(series, ns), params.w_embed)             # (B, ns, dim)
+    sub_len, dim = params.w_embed.shape   # TSTConfig makes L a multiple of sub_len
+    tokens = T.matmul(T.reshape(series, (b, length // sub_len, sub_len)), params.w_embed)
     cls = T.broadcast_to(T.reshape(params.class_token, (1, 1, dim)), (b, 1, dim))
-    seq = T.concat([cls, tokens], axis=1)                         # (B, ns+1, dim)
+    seq = T.concat([cls, tokens], axis=1)   # (B, ns+1, dim)
     if params.pos_table is not None:
-        if params.pos_table.shape != (ns + 1, dim):
-            raise ConfigError(
-                f"position table shape {params.pos_table.shape} does not match (ns+1, dim)=({ns + 1}, {dim})"
-            )
         seq = T.add(seq, params.pos_table)
     return T.dropout(seq, p_drop, training, rng)

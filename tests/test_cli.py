@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FUZZ, call_bounded
 from tst import cli, data
+from tst import model as tstmodel
 from tst.model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
 
@@ -252,6 +253,17 @@ def test_study_checks_trials_and_jobs_before_any_work(small_dataset, tmp_path, c
     # a list of 3e6 seeds alone would take some 100 MB
     assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "config error: --jobs must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_study_rejects_more_jobs_than_cores_before_any_work(tmp_path, capsys):
+    jobs = tstmodel._CORES + 1
+    out = tmp_path / "study"
+    argv = ["study", "--data", str(tmp_path / "nope.csv"), "--trials", "1", "--jobs", str(jobs),
+            "--out-dir", str(out)]
+    assert run(argv) == cli.EXIT_CONFIG   # not the missing file's data error
+    assert capsys.readouterr().err == (f"config error: --jobs must be <= {tstmodel._CORES}, "
+                                       f"the usable cores, got {jobs}\n")
     assert not out.exists()
 
 
@@ -593,3 +605,26 @@ def test_train_and_study_argv_fuzz_exits_with_a_documented_code_and_one_line(tin
     assert code in (0, 2, 3, 4), (argv, err)
     assert err.count("\n") <= 1, (argv, err)
     assert "internal error:" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("flag, code, prefix", [
+    ("--config", cli.EXIT_CONFIG, "config error: "),
+    ("--checkpoint", cli.EXIT_DATA, "data error: "),
+    ("--data", cli.EXIT_DATA, "data error: "),
+])
+def test_input_file_that_cannot_be_opened_is_one_line_typed_error(tiny_embed_inputs, tmp_path,
+                                                                  capsys, flag, code, prefix,
+                                                                  kind):
+    bad, out = tmp_path / "input", tmp_path / "out"
+    if kind == "directory":
+        bad.mkdir()
+    csv = str(tiny_embed_inputs / "set.csv")
+    argv = {"--config": ["train", "--config", str(bad), "--data", csv, "--out-dir", str(out)],
+            "--checkpoint": ["embed", "--checkpoint", str(bad), "--data", csv,
+                             "--out", str(out / "e.csv")],
+            "--data": ["train", "--data", str(bad), "--out-dir", str(out)]}[flag]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(prefix) and str(bad) in err
+    assert not out.exists()

@@ -12,11 +12,16 @@ from tst.errors import ConfigError, DataError
 
 
 def _windows(rng, count, length):
-    """``count`` labeled windows tiling one noise record, each with its own id."""
+    """``count`` labeled windows tiling one noise record."""
     signal = rng.normal(size=count * length).astype(np.float32)
-    return [data.LabeledWindow(samples=signal[i * length:(i + 1) * length], label=0,
-                               source_id=f"[{i * length}:{(i + 1) * length}]")
+    return [data.LabeledWindow(samples=signal[i * length:(i + 1) * length], label=0)
             for i in range(count)]
+
+
+def _indices(windows, picked):
+    """The position in ``windows`` of each window in ``picked``."""
+    index = {id(w): i for i, w in enumerate(windows)}
+    return [index[id(w)] for w in picked]
 
 
 def test_split_full_scale_counts(rng):
@@ -24,23 +29,23 @@ def test_split_full_scale_counts(rng):
     assert len(windows) == 9000
     split = data.split_train_test(windows, 7000, 2000, seed=4)
     assert len(split.train) == 7000 and len(split.test) == 2000
-    train_ids = {w.source_id for w in split.train}
-    assert not train_ids & {w.source_id for w in split.test}
+    train_ids = set(_indices(windows, split.train))
+    assert not train_ids & set(_indices(windows, split.test))
 
 
 def test_split_exhaustive_partition(rng):
     windows = _windows(rng, 10, 512)
     split = data.split_train_test(windows, 7, 3, seed=0)
-    ids = {w.source_id for w in split.train} | {w.source_id for w in split.test}
-    assert ids == {w.source_id for w in windows}
+    ids = set(_indices(windows, split.train)) | set(_indices(windows, split.test))
+    assert ids == set(range(len(windows)))
 
 
 def test_split_deterministic(rng):
     windows = _windows(rng, 20, 512)
     a = data.split_train_test(windows, 10, 5, seed=9)
     b = data.split_train_test(windows, 10, 5, seed=9)
-    assert [w.source_id for w in a.train] == [w.source_id for w in b.train]
-    assert [w.source_id for w in a.test] == [w.source_id for w in b.test]
+    assert _indices(windows, a.train) == _indices(windows, b.train)
+    assert _indices(windows, a.test) == _indices(windows, b.test)
 
 
 def test_split_insufficient():
@@ -54,8 +59,8 @@ def test_split_roughly_stratified():
     # 5 percentage points of the global fraction, averaged over 20 seeds
     windows = []
     for label in range(4):
-        for i in range(50):
-            windows.append(data.LabeledWindow(np.zeros(8, dtype=np.float32), label, f"{label}:{i}"))
+        for _ in range(50):
+            windows.append(data.LabeledWindow(np.zeros(8, dtype=np.float32), label))
     fractions = np.zeros(4)
     for seed in range(20):
         split = data.split_train_test(windows, 150, 50, seed=seed)

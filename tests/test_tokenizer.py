@@ -12,42 +12,67 @@ def make_params(length, ns, dim, pos="1d", seed=0):
     return cfg, tok.TokenizerParams.init(cfg, np.random.default_rng(seed))
 
 
+def reference_tokens(x, params):
+    """numpy tokenize: cut into rows of sub_len, embed, prepend the class
+    token, add the position table."""
+    w = params.w_embed.data
+    b, length = x.shape
+    tokens = x.reshape(b, length // w.shape[0], w.shape[0]) @ w
+    cls = np.broadcast_to(params.class_token.data, (b, 1, w.shape[1]))
+    seq = np.concatenate([cls, tokens], axis=1)
+    return seq if params.pos_table is None else seq + params.pos_table.data
+
+
+def with_embedding(params, w):
+    """``params`` with its embedding replaced by the fixed matrix ``w``."""
+    params.w_embed = Tensor(w)
+    return params
+
+
 def test_split_hand_case():
-    out = tok.split(Tensor([[1.0, 2, 3, 4, 5, 6, 7, 8]]), ns=2)
-    np.testing.assert_array_equal(out.data, [[[1, 2, 3, 4], [5, 6, 7, 8]]])
+    _, params = make_params(8, 2, 4, pos="none")
+    out = tok.tokenize(Tensor([[1.0, 2, 3, 4, 5, 6, 7, 8]]), with_embedding(params, np.eye(4)))
+    np.testing.assert_array_equal(out.data[:, 1:], [[[1, 2, 3, 4], [5, 6, 7, 8]]])
+    np.testing.assert_array_equal(out.data[:, 0], params.class_token.data)
 
 
-def test_split_default_scale():
-    x = Tensor(np.zeros((2, 2048)))
-    assert tok.split(x, ns=256).shape == (2, 256, 8)
-
-
-def test_split_indivisible():
-    with pytest.raises(ConfigError, match="2048.*3"):
-        tok.split(Tensor(np.zeros((1, 2048))), ns=3)
+def test_split_default_scale(rng):
+    _, params = make_params(2048, 256, 128)
+    x = rng.normal(size=(2, 2048)).astype(np.float32)
+    out = tok.tokenize(Tensor(x), params)
+    assert out.shape == (2, 257, 128)
+    np.testing.assert_allclose(out.data, reference_tokens(x, params), rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("length,ns", [(8, 2), (24, 3), (64, 64), (30, 5)])
 def test_split_roundtrip(length, ns, rng):
+    sub_len = length // ns
+    _, params = make_params(length, ns, sub_len, pos="none")
     x = rng.normal(size=(3, length))
-    chunks = tok.split(Tensor(x), ns=ns)
-    np.testing.assert_array_equal(chunks.data.reshape(3, length), x)
+    out = tok.tokenize(Tensor(x), with_embedding(params, np.eye(sub_len)))
+    np.testing.assert_array_equal(out.data[:, 1:].reshape(3, length), x)
 
 
 def test_embed_identity_and_zero(rng):
-    sub = rng.normal(size=(2, 4, 3))
-    out = tok.embed(Tensor(sub), Tensor(np.eye(3)))
-    np.testing.assert_allclose(out.data, sub)
-    out = tok.embed(Tensor(sub), Tensor(np.zeros((3, 5))))
-    np.testing.assert_array_equal(out.data, np.zeros((2, 4, 5)))
+    _, params = make_params(12, 4, 3, pos="none")
+    x = rng.normal(size=(2, 12))
+    out = tok.tokenize(Tensor(x), with_embedding(params, np.eye(3)))
+    np.testing.assert_allclose(out.data[:, 1:], x.reshape(2, 4, 3))
+    _, params = make_params(12, 4, 5, pos="none")
+    out = tok.tokenize(Tensor(x), with_embedding(params, np.zeros((3, 5))))
+    np.testing.assert_array_equal(out.data[:, 1:], np.zeros((2, 4, 5)))
 
 
 def test_embed_linearity(rng):
-    w = Tensor(rng.normal(size=(4, 6)))
-    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
-    lhs = tok.embed(Tensor(2.0 * x + 3.0 * y), w).data
-    rhs = 2.0 * tok.embed(Tensor(x), w).data + 3.0 * tok.embed(Tensor(y), w).data
-    np.testing.assert_allclose(lhs, rhs, atol=1e-5)
+    _, params = make_params(12, 3, 6, pos="none")
+    params = with_embedding(params, rng.normal(size=(4, 6)))
+    x, y = rng.normal(size=(2, 12)), rng.normal(size=(2, 12))
+
+    def tokens(a):
+        return tok.tokenize(Tensor(a), params).data[:, 1:]
+
+    np.testing.assert_allclose(tokens(2.0 * x + 3.0 * y), 2.0 * tokens(x) + 3.0 * tokens(y),
+                               atol=1e-5)
 
 
 def test_embed_equals_strided_convolution(rng):
@@ -58,8 +83,9 @@ def test_embed_equals_strided_convolution(rng):
     sub_len = length // ns
     x = rng.normal(size=(2, length))
     w = rng.normal(size=(sub_len, dim))
+    _, params = make_params(length, ns, dim, pos="none")
 
-    out = tok.embed(tok.split(Tensor(x), ns), Tensor(w)).data
+    out = tok.tokenize(Tensor(x), with_embedding(params, w)).data[:, 1:]
 
     conv = np.zeros((2, ns, dim))
     for b in range(2):
@@ -81,10 +107,7 @@ def test_tokenize_without_positions_is_plain_concat(rng):
     _, params = make_params(16, 4, 6, pos="none")
     x = rng.normal(size=(3, 16))
     out = tok.tokenize(Tensor(x), params)
-    embedded = tok.embed(tok.split(Tensor(x), 4), params.w_embed).data
-    np.testing.assert_array_equal(out.data[:, 1:, :], embedded)
-    np.testing.assert_array_equal(out.data[:, 0, :],
-                                  np.broadcast_to(params.class_token.data, (3, 6)))
+    np.testing.assert_array_equal(out.data, reference_tokens(x, params))
 
 
 def test_class_token_is_input_independent(rng):
