@@ -250,13 +250,8 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
-               seed: int = 0, learning_rate: float = 200.0) -> TsneResult:
-    """Exact t-SNE of row vectors down to 2-d; deterministic under seed."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"features must be (n, d), got shape {x.shape}")
-    n = x.shape[0]
+def _check_tsne(n: int, perplexity: float, iterations: int):
+    """Raise ``ConfigError`` unless exact t-SNE can embed ``n`` points with these settings."""
     if n > MAX_TSNE_POINTS:
         raise ConfigError(f"{n} points exceeds the exact-algorithm cap of {MAX_TSNE_POINTS}")
     if not 1.0 <= perplexity < math.inf:   # nan fails too
@@ -265,6 +260,16 @@ def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if n < 3 * perplexity:
         raise ConfigError(f"need at least 3*perplexity={3 * perplexity:g} points, got {n}")
+
+
+def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
+               seed: int = 0, learning_rate: float = 200.0) -> TsneResult:
+    """Exact t-SNE of row vectors down to 2-d; deterministic under seed."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise DataError(f"features must be (n, d), got shape {x.shape}")
+    n = x.shape[0]
+    _check_tsne(n, perplexity, iterations)
 
     exaggeration = 12.0
     switch_iter = 250
@@ -324,7 +329,9 @@ def collect_stage_features(model: TSTModel, windows) -> tuple[list[np.ndarray], 
 
 def export_embeddings(model: TSTModel, windows, path, perplexity: float = 30.0,
                       iterations: int = 1000, seed: int = 0) -> list[EmbeddingPoint]:
-    """t-SNE every stage independently and write block_index,label,x,y rows."""
+    """t-SNE every stage independently and write block_index,label,x,y rows.
+    Settings t-SNE rejects fail before any window goes through the model."""
+    _check_tsne(len(windows), perplexity, iterations)
     stage_features, labels = collect_stage_features(model, windows)
     points: list[EmbeddingPoint] = []
     for block_index, feats in enumerate(stage_features):

@@ -13,8 +13,10 @@ tensor in ``wrt``; it writes no tensor.
 A node keeps only what its pullback reads. It holds no tensor: each
 pullback binds the arrays, shapes and flags its formula
 uses (a matmul keeps its operands, an add only their shapes, ``gelu`` its
-derivative). So an intermediate value no pullback reads is freed as soon
-as the forward drops its tensor, not when backward reaches it.
+derivative, ``self_attention`` each softmax row's max and sum, from which
+its pullback recomputes the probabilities). So an intermediate value no
+pullback reads is freed as soon as the forward drops its tensor, not when
+backward reaches it.
 ``Tensor._vjp`` reads and replaces the node's pullback: ``backward()``
 reads it to tell a leaf from an op result, and the benchmark's span tracer
 wraps pullbacks through it.
@@ -64,7 +66,8 @@ _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
 # cache, which on the stock MLP's activations runs ~3x faster than whole-array passes
 _GELU_CHUNK = 2**16
 # score elements per attention block: a 1 MiB float32 tile, half a 2 MiB
-# per-core L2, so the softmax passes over it do not stream from memory
+# per-core L2, so the softmax passes over it do not stream from memory, and the
+# pullback's two tiles (probabilities and score adjoints) fit L2 together
 _ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -372,6 +375,19 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _result(s, (x,), vjp)
 
 
+def _even_slices(total: int, most: int) -> list[slice]:
+    """0..total as ceil(total / most) consecutive slices of near-equal length."""
+    count = -(-total // most)
+    edges = [total * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _tile(buffer: np.ndarray, r: slice, h: slice, m: int, n: int) -> np.ndarray:
+    """The contiguous (rows, heads, m, n) score tile of block (r, h), from ``buffer``."""
+    shape = (r.stop - r.start, h.stop - h.start, m, n)
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
 def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
                    queries: int | None = None):
     """Multi-head scaled dot-product self-attention as one recorded op.
@@ -384,16 +400,19 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     strided views of two projection products (one key/value GEMM over all
     rows, one query GEMM over the leading m), and q is scaled in place.
 
-    Scores, softmax and context run over blocks of batch rows whose
-    (rows, heads, m, n) score tile holds at most ``_ATTN_BLOCK`` elements
-    (at least one row), so the softmax passes run while the tile is in
-    cache. Without a graph or ``return_weights`` one tile is reused for
-    every block and the full probabilities are never built. A recorded node
-    keeps, besides its output, x, the concatenated weights, the scaled q, k,
-    v and the full (B, heads, m, n) probabilities; its pullback writes the
-    softmax, matmul and projection adjoints out by hand, block by block,
-    with a zero query adjoint for the rows past m. With ``return_weights``
-    the probabilities come back as well.
+    Scores, softmax and context run over blocks whose score tile holds at
+    most ``_ATTN_BLOCK`` elements, so the softmax passes run while the tile
+    is in cache: the B rows split into near-equal blocks of whole rows, and
+    a row whose (heads, m, n) scores alone exceed the bound splits into
+    near-equal blocks of heads. One tile is reused for every block, and the
+    full (B, heads, m, n) probabilities are built only for
+    ``return_weights``. A recorded node keeps x, the concatenated weights,
+    the scaled q, k, v, the output, and each softmax row's max and sum,
+    (B, heads, m, 1) each. Its pullback rebuilds each block's probabilities
+    from those statistics by the same ops on the same operands, so they come
+    out bit for bit as in the forward, then writes the softmax, matmul and
+    projection adjoints out by hand, with a zero query adjoint for the rows
+    past m.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
@@ -417,17 +436,25 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     scale = q.dtype.type(1.0 / math.sqrt(d_k))
     q *= scale                     # scale q rather than the much larger scores
     rows = max(1, _ATTN_BLOCK // (heads * m * n))
-    blocks = [slice(r, min(r + rows, b)) for r in range(0, b, rows)]
-    keep = return_weights or _records(x, w_q, w_k, w_v)
-    probs = np.empty((b if keep else min(rows, b), heads, m, n), dtype=q.dtype)
+    head_rows = max(1, _ATTN_BLOCK // (m * n))   # < heads only when one row's scores exceed a block
+    blocks = [(r, h) for r in _even_slices(b, rows) for h in _even_slices(heads, head_rows)]
+    tile_size = max((r.stop - r.start) * (h.stop - h.start) for r, h in blocks) * m * n
+    buffer = np.empty(tile_size, dtype=q.dtype)
+    row_max = np.empty((b, heads, m, 1), dtype=q.dtype)
+    row_sum = np.empty((b, heads, m, 1), dtype=q.dtype)
+    probs = np.empty((b, heads, m, n), dtype=q.dtype) if return_weights else None
     out = np.empty((b, m, heads, d_k), dtype=q.dtype)
-    for r in blocks:
-        p = probs[r] if keep else probs[:r.stop - r.start]
-        np.matmul(q[r], k[r].swapaxes(-1, -2), out=p)
-        p -= np.max(p, axis=-1, keepdims=True)
+    ctx = out.transpose(0, 2, 1, 3)
+    for r, h in blocks:
+        p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(buffer, r, h, m, n))
+        row_max[r, h] = np.max(p, axis=-1, keepdims=True)
+        p -= row_max[r, h]
         np.exp(p, out=p)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        np.matmul(p, v[r], out=out[r].transpose(0, 2, 1, 3))
+        row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
+        p /= row_sum[r, h]
+        if probs is not None:
+            probs[r, h] = p
+        np.matmul(p, v[r, h], out=ctx[r, h])
     out = out.reshape(b, m, width)
     x_data, x_grad = x.data, x.requires_grad
 
@@ -440,14 +467,20 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
         # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
         # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
         inner = np.sum((g * out).reshape(b, m, heads, d_k), axis=-1).transpose(0, 2, 1)[..., None]
-        tile = np.empty((min(rows, b), heads, m, n), dtype=g.dtype)
-        for r in blocks:
-            np.matmul(probs[r].swapaxes(-1, -2), g_ctx[r], out=dv[r])
-            d_scores = np.matmul(g_ctx[r], v[r].swapaxes(-1, -2), out=tile[:r.stop - r.start])
-            d_scores -= inner[r]   # d probs, then in place d scores
-            d_scores *= probs[r]
-            np.matmul(d_scores, k[r], out=dq[r])
-            np.matmul(d_scores.swapaxes(-1, -2), q[r], out=dk[r])
+        p_buffer, d_buffer = np.empty((2, tile_size), dtype=g.dtype)
+        for r, h in blocks:
+            # the forward's probabilities again: the same scores, shift and scale
+            p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(p_buffer, r, h, m, n))
+            p -= row_max[r, h]
+            np.exp(p, out=p)
+            p /= row_sum[r, h]
+            np.matmul(p.swapaxes(-1, -2), g_ctx[r, h], out=dv[r, h])
+            d_scores = np.matmul(g_ctx[r, h], v[r, h].swapaxes(-1, -2),
+                                 out=_tile(d_buffer, r, h, m, n))
+            d_scores -= inner[r, h]   # d probs, then in place d scores
+            d_scores *= p
+            np.matmul(d_scores, k[r, h], out=dq[r, h])
+            np.matmul(d_scores.swapaxes(-1, -2), q[r, h], out=dk[r, h])
         dq *= scale
         d_qkv = d_qkv.reshape(b * n, 3 * width)
         gx = np.matmul(d_qkv, w.T).reshape(b, n, dim) if x_grad else None
@@ -455,7 +488,7 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
         return gx, gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:]
 
     result = _result(out, (x, w_q, w_k, w_v), vjp)
-    return (result, probs.copy()) if return_weights else result
+    return (result, probs) if return_weights else result
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

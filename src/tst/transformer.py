@@ -21,12 +21,14 @@ dim, so a block's dim and d_k are read off ``w_q.shape``.
 The attention itself is one op, ``tensor.self_attention``: the three
 projections, the per-head scaled dot products, the softmax and the head
 merge run as a single node whose hand-written pullback keeps only the
-block input, q, k, v and the attention probabilities, not the scores or
-any per-head transpose copy; in the class-only block those probabilities
-are (B, heads, 1, n). The op works through cache-sized blocks of batch
-rows: in training the node keeps the full (B, heads, m, n) probabilities,
-while an eval forward keeps one block's tile and never the whole tensor.
-Only ``w_o`` is a separate matmul.
+block input, q, k, v, the output and each softmax row's max and sum,
+(B, heads, m, 1) each, not the scores, the probabilities or any per-head
+transpose copy; in the class-only block those statistics are
+(B, heads, 1, 1). The op works through cache-sized blocks of rows (of
+heads, where one row's scores exceed a block) and reuses one score tile
+for every block, in training and eval alike; the pullback recomputes each
+block's probabilities from the kept statistics, bit for bit. Only ``w_o``
+is a separate matmul.
 """
 
 from __future__ import annotations

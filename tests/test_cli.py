@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FUZZ, call_bounded
-from tst import cli, data
+from tst import analysis, cli, data
 from tst import model as tstmodel
 from tst.model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
@@ -458,6 +458,24 @@ def test_embed_rejects_bad_tsne_inputs(tiny_embed_inputs, capsys, flags):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--iterations", "0"], ["--perplexity", "0.5"],
+    ["--perplexity", "5"],              # 12 windows, fewer than 3 * perplexity
+    ["--max-points", "12"],             # more windows than the cap, lowered to 11 below
+], ids="=".join)
+def test_embed_rejects_bad_tsne_inputs_before_the_forward_pass(tiny_embed_inputs, monkeypatch,
+                                                               flags):
+    calls = []
+    forward = TSTModel.forward
+    monkeypatch.setattr(TSTModel, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    monkeypatch.setattr(analysis, "MAX_TSNE_POINTS", 11)
+    argv = ["embed", "--checkpoint", str(tiny_embed_inputs / "model.tst"),
+            "--data", str(tiny_embed_inputs / "set.csv"), "--perplexity", "2",
+            "--iterations", "3", "--out", str(tiny_embed_inputs / "bad.csv")]
+    assert run(argv + flags) == cli.EXIT_CONFIG
+    assert calls == []
 
 
 def test_embed_creates_the_directory_of_its_output(tiny_embed_inputs, tmp_path):

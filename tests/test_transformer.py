@@ -99,21 +99,25 @@ def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3):
     return [rng.normal(size=(b, n, dim))] + [rng.normal(size=(dim, width)) for _ in range(3)]
 
 
-def _blocks_of_two(monkeypatch, heads, n, queries):
-    """Shrink the score block so a batch runs as blocks of two rows."""
-    monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * heads * (queries or n) * n)
+def _blocks_of_two(monkeypatch, heads, n, queries, split="rows"):
+    """Shrink the score block to two rows, so a batch of five rows runs as blocks of 1, 2
+    and 2 rows; or, with ``split="heads"``, to two heads of one row, so each row's 3 heads
+    run as blocks of 1 and 2."""
+    per_head = (queries or n) * n
+    monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * per_head * (heads if split == "rows" else 1))
 
 
 # queries=None: every row queries; "query1": only slot 0 does, as in the last block;
-# "blocks": five rows in blocks of 2, 2 and 1
+# "blocks": five rows in blocks of 1, 2 and 2; "head-blocks": each row's 3 heads as 1 and 2
 @pytest.mark.parametrize("heads, queries, blocks",
                          [(1, None, False), (2, None, False), (3, None, False), (2, 1, False),
-                          (2, None, True), (2, 1, True)],
-                         ids=["1", "2", "3", "2-query1", "2-blocks", "2-query1-blocks"])
+                          (2, None, "rows"), (2, 1, "rows"), (3, None, "heads")],
+                         ids=["1", "2", "3", "2-query1", "2-blocks", "2-query1-blocks",
+                              "3-head-blocks"])
 def test_self_attention_gradients_match_finite_differences(rng, monkeypatch, heads, queries,
                                                            blocks):
     if blocks:
-        _blocks_of_two(monkeypatch, heads, n=5, queries=queries)
+        _blocks_of_two(monkeypatch, heads, n=5, queries=queries, split=blocks)
     arrays = _attention_inputs(rng, heads, b=5 if blocks else 2)
     err = op_grad_check(lambda t: T.self_attention(*t, heads, queries=queries), arrays)
     assert err < 1e-4, f"heads={heads}: worst relative error {err:.2e}"
@@ -147,12 +151,14 @@ def test_self_attention_rejects_mismatched_shapes(rng):
             T.self_attention(x, w_q, w_k, w_v, heads=2, queries=queries)
 
 
-@pytest.mark.parametrize("queries", [None, 1], ids=["all-rows", "query1"])
+@pytest.mark.parametrize("queries, split", [(None, "rows"), (1, "rows"), (None, "heads"),
+                                            (1, "heads")],
+                         ids=["all-rows", "query1", "all-rows-head-blocks", "query1-head-blocks"])
 @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
 @pytest.mark.parametrize("return_weights", [False, True], ids=["out", "maps"])
 def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph,
-                                                   return_weights):
-    heads, n = 2, 7
+                                                   return_weights, split):
+    heads, n = 3, 7
     arrays = [a.astype(np.float32) for a in _attention_inputs(rng, heads, b=5, n=n, dim=6)]
     weighting = Tensor(rng.normal(size=(5, queries or n, heads * 3)).astype(np.float32))
 
@@ -165,8 +171,8 @@ def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, gr
         return [out.data, maps] + grads
 
     whole = attend()                 # one block holds all 5 rows
-    _blocks_of_two(monkeypatch, heads, n, queries)
-    blocked = attend()               # blocks of 2, 2 and 1 rows
+    _blocks_of_two(monkeypatch, heads, n, queries, split)
+    blocked = attend()               # blocks of 1, 2 and 2 rows, or of 1 and 2 heads
     assert len(blocked) == 2 + 4 * graph
     for one, many in zip(whole, blocked):
         assert (one is None and many is None) or np.array_equal(one, many)
@@ -180,6 +186,19 @@ def test_eval_attention_never_holds_the_full_probabilities(rng):
     with T.no_grad():
         out = call_bounded(lambda: T.self_attention(*inputs, heads), full_probs)
     assert out.shape == (b, n, dim)
+
+
+def test_recorded_attention_never_holds_the_full_probabilities(rng):
+    b, n, heads, dim = 32, 129, 4, 8
+    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32), requires_grad=True)]
+    inputs += [Tensor(rng.normal(size=(dim, dim)).astype(np.float32), requires_grad=True)
+               for _ in range(3)]
+    full_probs = b * heads * n * n * 4            # 8.5 MB of float32
+    kept = []                                     # the recorded node outlives the forward
+    out = call_bounded(lambda: kept.append(T.self_attention(*inputs, heads)), full_probs)
+    assert out is None and kept[0].requires_grad
+    grads = call_bounded(lambda: backward(T.tsum(kept.pop()), inputs), full_probs)
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
 
 
 def test_attention_weights_row_stochastic(rng):
@@ -354,7 +373,14 @@ def test_last_block_attention_keeps_one_query_row(rng):
     b, n, heads = 3, 5, 2
     stack = make_stack(depth=2, heads=heads)
     feature, _ = tf.stack_forward(Tensor(rng.normal(size=(b, n, 6))), stack)
-    kept = [_kept(node._vjp, "probs") for node in Tape(T.tsum(feature)).nodes()
-            if not node.is_leaf()]
-    shapes = [p.shape for p in kept if p is not None]
-    assert shapes == [(b, heads, n, n), (b, heads, 1, n)]
+    attention = [node._vjp for node in Tape(T.tsum(feature)).nodes()
+                 if not node.is_leaf() and _kept(node._vjp, "row_max") is not None]
+    for name in ("row_max", "row_sum"):   # each softmax row's statistics, not its probabilities
+        assert [_kept(vjp, name).shape for vjp in attention] == [(b, heads, n, 1),
+                                                                 (b, heads, 1, 1)]
+    for vjp, m in zip(attention, (n, 1)):
+        arrays = {name: cell.cell_contents
+                  for name, cell in zip(vjp.__code__.co_freevars, vjp.__closure__)
+                  if isinstance(cell.cell_contents, np.ndarray)}
+        assert set(arrays) == {"x_data", "w", "q", "k", "v", "out", "row_max", "row_sum"}
+        assert all(a.size != b * heads * m * n for a in arrays.values())
