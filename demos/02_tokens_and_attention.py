@@ -35,7 +35,15 @@ print(f"slot 0 identical across inputs (class token is learned, not derived): "
 print("\n== attention maps ==")
 model = TSTModel(model_cfg, seed=0)
 block = model.stack.blocks[0]
-out, weights = multi_head(tokens, block, return_weights=True)
+out = multi_head(tokens, block)
+# the maps the attention op softmaxes block by block, rebuilt here whole: split
+# the heads, scale by 1/sqrt(d_k), then softmax each row
+d_k = block.w_q.shape[1] // block.heads
+q, k = (np.einsum("bnd,dhk->bhnk", tokens.data,
+                  w.data.reshape(-1, block.heads, d_k)) for w in (block.w_q, block.w_k))
+scores = q @ k.swapaxes(-1, -2) / d_k ** 0.5
+weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+weights /= weights.sum(axis=-1, keepdims=True)
 print(f"multi-head output {out.shape}; weight maps {weights.shape} (batch, heads, n, n)")
 print(f"every attention row sums to 1: max |row sum - 1| = "
       f"{np.max(np.abs(weights.sum(axis=-1) - 1.0)):.2e}")

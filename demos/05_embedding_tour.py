@@ -28,9 +28,9 @@ print(f"{time.time() - start:.0f}s, test accuracy {report.final_test_acc:.1%}")
 
 print("\n== per-stage t-SNE export ==")
 start = time.time()
-points = analysis.export_embeddings(model, split.test, "embedding.csv",
-                                    perplexity=15, iterations=600, seed=0)
-print(f"{time.time() - start:.0f}s, wrote {len(points)} rows to embedding.csv "
+coords, labels = analysis.export_embeddings(model, split.test, "embedding.csv",
+                                            perplexity=15, iterations=600, seed=0)
+print(f"{time.time() - start:.0f}s, wrote {len(coords) * len(labels)} rows to embedding.csv "
       f"({cfg.depth + 1} stages x {len(split.test)} windows)")
 
 
@@ -40,9 +40,7 @@ def nearest_centroid_score(coords, labels):
     return float(np.mean(np.unique(labels)[np.argmin(d, axis=1)] == labels))
 
 
-labels = np.array([p.label for p in points if p.block_index == 0])
 print("\nstage                nearest-centroid accuracy in the 2-d embedding")
 for stage in range(cfg.depth + 1):
-    coords = np.array([[p.x, p.y] for p in points if p.block_index == stage])
     name = "raw windows" if stage == 0 else f"after block {stage}"
-    print(f"{name:<20} {nearest_centroid_score(coords, labels):.1%}")
+    print(f"{name:<20} {nearest_centroid_score(coords[stage], labels):.1%}")

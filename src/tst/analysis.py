@@ -189,14 +189,6 @@ class TsneResult:
     kl_after_exaggeration: float
 
 
-@dataclass(frozen=True)
-class EmbeddingPoint:
-    x: float
-    y: float
-    label: int
-    block_index: int    # 0 = raw input, 1..depth = after that block
-
-
 def _squared_distances(x: np.ndarray) -> np.ndarray:
     sq = np.sum(x * x, axis=1)
     d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
@@ -328,20 +320,18 @@ def collect_stage_features(model: TSTModel, windows) -> tuple[list[np.ndarray], 
 
 
 def export_embeddings(model: TSTModel, windows, path, perplexity: float = 30.0,
-                      iterations: int = 1000, seed: int = 0) -> list[EmbeddingPoint]:
-    """t-SNE every stage independently and write block_index,label,x,y rows.
-    Settings t-SNE rejects fail before any window goes through the model."""
+                      iterations: int = 1000, seed: int = 0) -> tuple[list, np.ndarray]:
+    """t-SNE every stage independently, write block_index,label,x,y rows, and
+    return each stage's (n, 2) coordinates (stage 0 is the raw input) and the
+    labels. Settings t-SNE rejects fail before any window goes through the model."""
     _check_tsne(len(windows), perplexity, iterations)
     stage_features, labels = collect_stage_features(model, windows)
-    points: list[EmbeddingPoint] = []
-    for block_index, feats in enumerate(stage_features):
-        result = tsne_embed(feats, perplexity=perplexity, iterations=iterations, seed=seed)
-        for (px, py), label in zip(result.coords, labels):
-            points.append(EmbeddingPoint(x=float(px), y=float(py),
-                                         label=int(label), block_index=block_index))
+    coords = [tsne_embed(feats, perplexity=perplexity, iterations=iterations, seed=seed).coords
+              for feats in stage_features]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block_index,label,x,y\n")
-        for pt in points:
-            fh.write(f"{pt.block_index},{pt.label},{pt.x!r},{pt.y!r}\n")
-    return points
+        for block_index, stage in enumerate(coords):
+            for (px, py), label in zip(stage.tolist(), labels.tolist()):
+                fh.write(f"{block_index},{label},{px!r},{py!r}\n")
+    return coords, labels

@@ -55,10 +55,10 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                    config: TSTConfig | None = None, inputs: list[Path] = ()):
     manifest = {
         "command": command,
-        "argv": list(sys.argv),
+        "argv": args.argv,   # what main() parsed: under cli.main([...]) sys.argv is the host's
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "flags": {k: v for k, v in vars(args).items() if k != "func"},
+        "flags": {k: v for k, v in vars(args).items() if k not in ("func", "argv")},
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
     if config is not None:
@@ -238,7 +238,8 @@ def cmd_cost(args) -> int:
         raise ConfigError("--csv writes the sweep, so it needs --sweep")
     if args.sweep:
         given = " or ".join(f"--{k.replace('_', '-')}" for k, v in vars(args).items()
-                            if v is not None and k not in ("subcommand", "func", "sweep", "csv"))
+                            if v is not None
+                            and k not in ("subcommand", "func", "argv", "sweep", "csv"))
         if given:   # the other cost flags build the one config that --sweep does not print
             raise ConfigError(f"--sweep prints its own configs, so it takes no {given}")
         records = _sweep_records()
@@ -271,12 +272,12 @@ def cmd_embed(args) -> int:
                                                        replace=False)
         windows = [windows[i] for i in sorted(keep)]
     out = Path(args.out)
-    points = analysis.export_embeddings(model, windows, out,
-                                        perplexity=args.perplexity,
-                                        iterations=args.iterations, seed=args.seed)
+    coords, _ = analysis.export_embeddings(model, windows, out,
+                                           perplexity=args.perplexity,
+                                           iterations=args.iterations, seed=args.seed)
     write_manifest(out.parent, "embed", args, config=cfg,
                    inputs=[Path(args.checkpoint), Path(args.data)])
-    print(f"wrote {len(points)} embedding points "
+    print(f"wrote {len(coords) * len(windows)} embedding points "
           f"({cfg.depth + 1} stages x {len(windows)} windows) to {out}")
     return EXIT_OK
 
@@ -358,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)   # --help and --version still exit 0
+        args.argv = argv
         _require_at_least(args, 0, "seed", "base_seed", "split_seed")   # numpy's seed domain
         return args.func(args)
     except ConfigError as exc:

@@ -388,8 +388,7 @@ def _tile(buffer: np.ndarray, r: slice, h: slice, m: int, n: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
-                   queries: int | None = None):
+def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention as one recorded op.
 
     ``x`` (B, n, dim) is projected by the three (dim, heads*d_k) matrices,
@@ -404,15 +403,14 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     most ``_ATTN_BLOCK`` elements, so the softmax passes run while the tile
     is in cache: the B rows split into near-equal blocks of whole rows, and
     a row whose (heads, m, n) scores alone exceed the bound splits into
-    near-equal blocks of heads. One tile is reused for every block, and the
-    full (B, heads, m, n) probabilities are built only for
-    ``return_weights``. A recorded node keeps x, the concatenated weights,
-    the scaled q, k, v, the output, and each softmax row's max and sum,
-    (B, heads, m, 1) each. Its pullback rebuilds each block's probabilities
-    from those statistics by the same ops on the same operands, so they come
-    out bit for bit as in the forward, then writes the softmax, matmul and
-    projection adjoints out by hand, with a zero query adjoint for the rows
-    past m.
+    near-equal blocks of heads. One tile is reused for every block, so the
+    full (B, heads, m, n) probabilities are never built. A recorded node
+    keeps x, the concatenated weights, the scaled q, k, v, the output, and
+    each softmax row's max and sum, (B, heads, m, 1) each. Its pullback
+    rebuilds each block's probabilities from those statistics by the same
+    ops on the same operands, so they come out bit for bit as in the
+    forward, then writes the softmax, matmul and projection adjoints out by
+    hand, with a zero query adjoint for the rows past m.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
@@ -442,7 +440,6 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
     buffer = np.empty(tile_size, dtype=q.dtype)
     row_max = np.empty((b, heads, m, 1), dtype=q.dtype)
     row_sum = np.empty((b, heads, m, 1), dtype=q.dtype)
-    probs = np.empty((b, heads, m, n), dtype=q.dtype) if return_weights else None
     out = np.empty((b, m, heads, d_k), dtype=q.dtype)
     ctx = out.transpose(0, 2, 1, 3)
     for r, h in blocks:
@@ -452,8 +449,6 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
         np.exp(p, out=p)
         row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
         p /= row_sum[r, h]
-        if probs is not None:
-            probs[r, h] = p
         np.matmul(p, v[r, h], out=ctx[r, h])
     out = out.reshape(b, m, width)
     x_data, x_grad = x.data, x.requires_grad
@@ -487,8 +482,7 @@ def self_attention(x, w_q, w_k, w_v, heads: int, return_weights: bool = False,
         gw = np.matmul(x_data.reshape(b * n, dim).T, d_qkv)
         return gx, gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:]
 
-    result = _result(out, (x, w_q, w_k, w_v), vjp)
-    return (result, probs) if return_weights else result
+    return _result(out, (x, w_q, w_k, w_v), vjp)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

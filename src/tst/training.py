@@ -134,7 +134,10 @@ class StudyReport:
         for i, t in enumerate(self.trials):
             out.append(f"{i},{t.seed},{t.final_test_acc!r},ok")
         for seed, msg in self.failed_seeds:
-            out.append(f"-,{seed},nan,failed: {msg}")
+            status = f"failed: {msg}"
+            if any(c in status for c in ',"\r\n'):   # the csv module's minimal quoting
+                status = '"' + status.replace('"', '""') + '"'
+            out.append(f"-,{seed},nan,{status}")
         out.append(
             "summary,"
             f"trials={len(self.trials)},top_acc={self.top_acc!r},min_acc={self.min_acc!r},"

@@ -99,21 +99,14 @@ class TransformerStack:
         )
 
 
-def multi_head(x: Tensor, params: BlockParams, return_weights: bool = False, *,
-               class_only: bool = False):
+def multi_head(x: Tensor, params: BlockParams, *, class_only: bool = False) -> Tensor:
     """Self-attention: the fused ``T.self_attention`` op, then ``w_o``.
 
-    (B, n, dim) -> (B, n, dim); optionally also returns the (B, heads, n, n)
-    attention maps as a detached array. With ``class_only`` only slot 0
-    queries, still over keys and values from every row: (B, 1, dim) out,
-    (B, heads, 1, n) maps.
+    (B, n, dim) -> (B, n, dim). With ``class_only`` only slot 0 queries,
+    still over keys and values from every row: (B, 1, dim) out.
     """
-    ctx = T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads, return_weights,
-                           queries=1 if class_only else None)
-    if return_weights:
-        ctx, weights = ctx
-        return T.matmul(ctx, params.w_o), weights
-    return T.matmul(ctx, params.w_o)
+    return T.matmul(T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads,
+                                     queries=1 if class_only else None), params.w_o)
 
 
 def block_forward(

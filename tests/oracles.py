@@ -33,7 +33,7 @@ def scaled_dot_product_attention(q, k, v, return_weights=False):
     return (out, weights.data.copy()) if return_weights else out
 
 
-def self_attention(x, w_q, w_k, w_v, heads, return_weights=False, queries=None):
+def self_attention(x, w_q, w_k, w_v, heads, queries=None):
     """``tensor.self_attention`` composed from primitives: per-projection
     matmuls (queries from the leading ``queries`` rows, all by default),
     heads split by reshape and transpose, the composed attention above, and
@@ -47,11 +47,9 @@ def self_attention(x, w_q, w_k, w_v, heads, return_weights=False, queries=None):
         t = T.reshape(T.matmul(rows, w), (b, rows.shape[1], heads, width // heads))
         return T.transpose(t, (0, 2, 1, 3))
 
-    attended = scaled_dot_product_attention(split_heads(x[:, :m, :], w_q), split_heads(x, w_k),
-                                            split_heads(x, w_v), return_weights)
-    ctx, weights = attended if return_weights else (attended, None)
-    out = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, m, width))
-    return (out, weights) if return_weights else out
+    ctx = scaled_dot_product_attention(split_heads(x[:, :m, :], w_q), split_heads(x, w_k),
+                                       split_heads(x, w_v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, m, width))
 
 
 def stack_forward(tokens, stack, *, training=False, p_drop=0.0, rng=None):

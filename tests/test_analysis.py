@@ -239,14 +239,17 @@ def test_export_embeddings_rows_and_labels(tmp_path):
     model = TSTModel(cfg, seed=0)
     windows = generate_synthetic(default_synthetic_spec(), 6, seed=4, length=64)
     out = tmp_path / "embedding.csv"
-    points = analysis.export_embeddings(model, windows, out, perplexity=10,
-                                        iterations=260, seed=0)
+    coords, labels = analysis.export_embeddings(model, windows, out, perplexity=10,
+                                                iterations=260, seed=0)
     n = len(windows)
-    assert len(points) == (cfg.depth + 1) * n
-    assert sorted({p.block_index for p in points}) == [0, 1, 2]
-    per_stage_labels = [p.label for p in points if p.block_index == 1]
-    assert per_stage_labels == [w.label for w in windows]
+    assert len(coords) == cfg.depth + 1
+    assert all(stage.shape == (n, 2) for stage in coords)
+    assert labels.tolist() == [w.label for w in windows]
 
     lines = out.read_text().splitlines()
     assert lines[0] == "block_index,label,x,y"
-    assert len(lines) == 1 + (cfg.depth + 1) * n
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(i), int(label)) for i, label, _, _ in rows] == [
+        (i, label) for i in range(cfg.depth + 1) for label in labels.tolist()]
+    written = np.array([[float(x), float(y)] for _, _, x, y in rows])
+    np.testing.assert_array_equal(written, np.concatenate(coords))   # repr round-trips exactly

@@ -54,6 +54,17 @@ def test_synth_row_count_and_determinism(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_manifest_records_the_arguments_main_parsed(tmp_path, monkeypatch):
+    argv = ["synth", "--classes", "2", "--per-class", "2", "--length", "16",
+            "--out", str(tmp_path / "set.csv")]
+    assert run(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["argv"] == argv and "argv" not in manifest["flags"]
+    monkeypatch.setattr(sys, "argv", ["tst"] + argv[:-1] + [str(tmp_path / "again.csv")])
+    assert cli.main() == 0   # no list given: the process's arguments after the program name
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == sys.argv[1:]
+
+
 def test_train_writes_artifacts(small_dataset, tmp_path):
     out = tmp_path / "run"
     code = run(["train", "--data", str(small_dataset), "--seed", "1",

@@ -1,5 +1,7 @@
+import csv
 import glob
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -22,7 +24,7 @@ from tst import tensor as T
 from tst.errors import ConfigError, DataError, TrainingAbort
 from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits
 from tst.tensor import Tensor
-from tst.training import (AdamState, TrialReport, adam_step, evaluate,
+from tst.training import (AdamState, StudyReport, TrialReport, adam_step, evaluate,
                           lr_at_epoch, repeat_trials, train)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -316,6 +318,22 @@ def test_repeat_trials_records_failures_and_continues(monkeypatch):
     assert [t.seed for t in study.trials] == [1, 3]
     assert study.failed_seeds == [(2, "injected failure")]
     assert any("failed" in line for line in study.lines())
+
+
+def test_study_report_quotes_failure_reasons_as_csv_does():
+    reasons = ["non-finite loss at epoch 3, batch 7", 'a "quoted"\nreason', "no comma at step 2"]
+    trial = TrialReport(seed=1, train_loss=[1.0], test_loss=[1.0], train_acc=[0.5],
+                        test_acc=[0.5])
+    study = StudyReport(trials=[trial], failed_seeds=list(enumerate(reasons, start=2)))
+    text = "\n".join(study.lines()) + "\n"
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["trial", "seed", "final_test_acc", "status"]
+    assert all(len(row) == 4 for row in rows[1:-1])
+    assert rows[2:-1] == [["-", str(seed), "nan", f"failed: {msg}"]
+                          for seed, msg in enumerate(reasons, start=2)]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows[:-1])
+    assert text.startswith(expected.getvalue())   # the csv module's own minimal quoting
 
 
 def test_repeat_trials_validation():

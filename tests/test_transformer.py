@@ -131,9 +131,9 @@ def test_self_attention_matches_composed_oracle(rng, heads, queries):
     results = []
     for attend in (T.self_attention, self_attention):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        out, maps = attend(*inputs, heads, return_weights=True, queries=queries)
+        out = attend(*inputs, heads, queries=queries)
         grads = backward(T.tsum(T.mul(out, weighting)), inputs)
-        results.append([out.data, maps] + grads)
+        results.append([out.data] + grads)
     for fused, composed in zip(*results):
         np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
 
@@ -155,9 +155,7 @@ def test_self_attention_rejects_mismatched_shapes(rng):
                                             (1, "heads")],
                          ids=["all-rows", "query1", "all-rows-head-blocks", "query1-head-blocks"])
 @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
-@pytest.mark.parametrize("return_weights", [False, True], ids=["out", "maps"])
-def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph,
-                                                   return_weights, split):
+def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph, split):
     heads, n = 3, 7
     arrays = [a.astype(np.float32) for a in _attention_inputs(rng, heads, b=5, n=n, dim=6)]
     weighting = Tensor(rng.normal(size=(5, queries or n, heads * 3)).astype(np.float32))
@@ -165,17 +163,16 @@ def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, gr
     def attend():
         inputs = [Tensor(a, requires_grad=graph) for a in arrays]
         with T.no_grad() if not graph else contextlib.nullcontext():
-            result = T.self_attention(*inputs, heads, return_weights, queries)
-        out, maps = result if return_weights else (result, None)
+            out = T.self_attention(*inputs, heads, queries=queries)
         grads = backward(T.tsum(T.mul(out, weighting)), inputs) if graph else []
-        return [out.data, maps] + grads
+        return [out.data] + grads
 
     whole = attend()                 # one block holds all 5 rows
     _blocks_of_two(monkeypatch, heads, n, queries, split)
     blocked = attend()               # blocks of 1, 2 and 2 rows, or of 1 and 2 heads
-    assert len(blocked) == 2 + 4 * graph
+    assert len(blocked) == 1 + 4 * graph
     for one, many in zip(whole, blocked):
-        assert (one is None and many is None) or np.array_equal(one, many)
+        assert np.array_equal(one, many)
 
 
 def test_eval_attention_never_holds_the_full_probabilities(rng):
@@ -201,13 +198,22 @@ def test_recorded_attention_never_holds_the_full_probabilities(rng):
     assert [g.shape for g in grads] == [t.shape for t in inputs]
 
 
-def test_attention_weights_row_stochastic(rng):
-    params = make_block(seed=3)
-    _, weights = tf.multi_head(Tensor(rng.normal(size=(3, 7, 6)) * 50), params,
-                               return_weights=True)
-    assert weights.shape == (3, 2, 7, 7)
-    assert np.all(weights >= 0)
-    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+@pytest.mark.parametrize("split", [None, "rows", "heads"], ids=["whole", "rows", "heads"])
+def test_attention_weights_sum_to_one_per_query(rng, monkeypatch, split):
+    # every key differs, but every value row is the same vector u: x's first three columns
+    # vary and feed only the keys and queries, its last three are one row c for all tokens
+    # and feed only the values. Each query's output is then u times its weights' sum.
+    heads, b, n = 3, 5, 7
+    x = np.concatenate([rng.normal(size=(b, n, 3)) * 50, np.broadcast_to(rng.normal(size=3),
+                                                                         (b, n, 3))], axis=-1)
+    w_q, w_k, w_v = (rng.normal(size=(6, heads * 2)) for _ in range(3))
+    w_q[3:] = w_k[3:] = 0.0
+    w_v[:3] = 0.0
+    u = x[0, 0] @ w_v
+    if split:
+        _blocks_of_two(monkeypatch, heads, n, None, split)
+    out = T.self_attention(x, w_q, w_k, w_v, heads).data
+    np.testing.assert_allclose(out, np.broadcast_to(u, out.shape), rtol=1e-12, atol=1e-12)
 
 
 def test_block_identity_when_branches_vanish(rng):
