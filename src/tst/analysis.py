@@ -182,13 +182,6 @@ MAX_TSNE_POINTS = 5000
 _P_FLOOR = 1e-12
 
 
-@dataclass
-class TsneResult:
-    coords: np.ndarray            # (n, 2)
-    kl_final: float
-    kl_after_exaggeration: float
-
-
 def _squared_distances(x: np.ndarray) -> np.ndarray:
     sq = np.sum(x * x, axis=1)
     d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
@@ -238,10 +231,6 @@ def _joint_affinities(features: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(p_joint, _P_FLOOR)
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum(p * np.log(p / q)))
-
-
 def _check_tsne(n: int, perplexity: float, iterations: int):
     """Raise ``ConfigError`` unless exact t-SNE can embed ``n`` points with these settings."""
     if n > MAX_TSNE_POINTS:
@@ -255,8 +244,8 @@ def _check_tsne(n: int, perplexity: float, iterations: int):
 
 
 def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
-               seed: int = 0, learning_rate: float = 200.0) -> TsneResult:
-    """Exact t-SNE of row vectors down to 2-d; deterministic under seed."""
+               seed: int = 0, learning_rate: float = 200.0) -> np.ndarray:
+    """Exact t-SNE of row vectors down to (n, 2) coordinates; deterministic under seed."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"features must be (n, d), got shape {x.shape}")
@@ -270,26 +259,19 @@ def tsne_embed(features, perplexity: float = 30.0, iterations: int = 1000,
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
-    kl_after_exaggeration = math.nan
 
     p_used = p * exaggeration
     for it in range(iterations):
         q, num = _student_t_q(y)
         if it == switch_iter:
             p_used = p
-            kl_after_exaggeration = _kl_divergence(p, q)
         momentum = 0.5 if it < switch_iter else 0.8
         # gradient: 4 * sum_j (p_ij - q_ij) * num_ij * (y_i - y_j)
         coeff = (p_used - q) * num
         grad = 4.0 * (coeff.sum(axis=1)[:, None] * y - coeff @ y)
         velocity = momentum * velocity - learning_rate * grad
         y = y + velocity
-
-    kl_final = _kl_divergence(p, _student_t_q(y)[0])
-    if math.isnan(kl_after_exaggeration):   # short runs never left exaggeration
-        kl_after_exaggeration = kl_final
-    return TsneResult(coords=y, kl_final=kl_final,
-                      kl_after_exaggeration=kl_after_exaggeration)
+    return y
 
 
 def _student_t_q(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +308,7 @@ def export_embeddings(model: TSTModel, windows, path, perplexity: float = 30.0,
     labels. Settings t-SNE rejects fail before any window goes through the model."""
     _check_tsne(len(windows), perplexity, iterations)
     stage_features, labels = collect_stage_features(model, windows)
-    coords = [tsne_embed(feats, perplexity=perplexity, iterations=iterations, seed=seed).coords
+    coords = [tsne_embed(feats, perplexity=perplexity, iterations=iterations, seed=seed)
               for feats in stage_features]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

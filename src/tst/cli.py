@@ -41,6 +41,9 @@ MAX_TRIALS = 10**4
 # the most samples (classes x per class x length) one synth writes: 400 MB of
 # float32 windows held at once, about 5x the default 10 x 900 x 2048
 MAX_SYNTH_SAMPLES = 10**8
+# the most parameters train and study build (stock: 1.6e6): 1.6 GB of float32 weights,
+# gradients and Adam moments at the bound
+MAX_PARAMS = 10**8
 
 
 def _sha256(path: Path) -> str:
@@ -110,6 +113,8 @@ def _add_override_flags(p: argparse.ArgumentParser):
 
 
 def _load_split(args, cfg: TSTConfig) -> data.DatasetSplit:
+    if (params := analysis.cost_report(cfg).params_full) > MAX_PARAMS:   # before any data
+        raise ConfigError(f"the config has {params} parameters; training takes <= {MAX_PARAMS}")
     windows = data.load_csv(args.data, length=cfg.L, n_class=cfg.n_class)
     n_test = max(1, round(len(windows) * 2 / 9))     # 7:2 proportions
     n_train = len(windows) - n_test
@@ -245,6 +250,7 @@ def cmd_cost(args) -> int:
         records = _sweep_records()
         print("\n".join(_cost_lines(records)))
         if args.csv is not None:
+            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(",".join(records[0]) + "\n")
                 for r in records:   # floats in full (repr), the rest as printed

@@ -22,7 +22,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -188,30 +188,20 @@ class TSTModel:
 
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_TRIALS = threading.local()   # ``count``: the trials running at once, set by concurrent_trials
-
-
-@contextmanager
-def concurrent_trials(count: int):
-    """Marks the calling thread as running one of ``count`` trials at once."""
-    _TRIALS.count = count
-    try:
-        yield
-    finally:
-        del _TRIALS.count
 
 
 def _worker_core_free() -> bool:
-    """The measured setup only: two cores, no other trial beside this one, and numpy's
-    bundled OpenBLAS, set to one thread. On more cores (not measured) shards run in turn."""
-    return _CORES == 2 and getattr(_TRIALS, "count", 1) == 1 and _one_blas_thread()
+    """The measured setup only: two cores, numpy's bundled OpenBLAS at one thread, the main
+    thread calling. Trial threads, the worker and hosts of more cores run shards in turn."""
+    return (_CORES == 2 and threading.current_thread() is threading.main_thread()
+            and _one_blas_thread())
 
 
 def _run_pair(first, second) -> tuple:
     """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on the kept
     ``_worker()`` thread, with the caller's grad mode; otherwise both run in turn on the
-    calling thread. Either way an exception of either call reaches the caller once ``second``
-    has finished. Nothing run on the worker may call ``_run_pair``: one worker would deadlock."""
+    calling thread, as on the worker itself, which is not the main thread. Either way an
+    exception of either call reaches the caller once ``second`` has finished."""
     if not _worker_core_free():
         return first(), second()
     grad = T._grad_enabled()

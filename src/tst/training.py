@@ -18,8 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetSplit, windows_to_arrays
 from .errors import ConfigError, TrainingAbort
-from .model import (TSTConfig, TSTModel, _run_pair, concurrent_trials,
-                    cross_entropy_from_logits)
+from .model import TSTConfig, TSTModel, _run_pair, cross_entropy_from_logits
 from .tensor import Tensor, backward, no_grad
 
 
@@ -239,9 +238,10 @@ def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) ->
 
 def repeat_trials(split: DatasetSplit, config: TSTConfig, seeds: list[int],
                   jobs: int = 1) -> StudyReport:
-    """One independent re-init + retrain per seed, on ``jobs`` threads;
-    failures are recorded and the study continues. Results are aggregated
-    in seed order, so the report does not depend on scheduling."""
+    """One independent re-init + retrain per seed; failures are recorded and the
+    study continues. One trial at a time runs on the calling thread, more at once
+    on ``jobs`` pool threads, whose shards run in turn (``_worker_core_free``).
+    Results are aggregated in seed order, so the report does not depend on scheduling."""
     if not seeds:
         raise ConfigError("a study needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -249,23 +249,19 @@ def repeat_trials(split: DatasetSplit, config: TSTConfig, seeds: list[int],
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    def run(seed: int) -> TrialReport:
-        with concurrent_trials(min(jobs, len(seeds))):
-            model = TSTModel(config, seed=seed)
-            return train(model, split, config, seed)
-
-    results: dict[int, TrialReport] = {}
-    failures: dict[int, str] = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {seed: pool.submit(run, seed) for seed in seeds}
-    for seed, fut in futures.items():
+    def run(seed: int) -> TrialReport | str:   # the report, or why the trial aborted
         try:
-            results[seed] = fut.result()
+            return train(TSTModel(config, seed=seed), split, config, seed)
         except TrainingAbort as exc:
-            failures[seed] = str(exc)
+            return str(exc)
 
+    if min(jobs, len(seeds)) == 1:
+        outcomes = {seed: run(seed) for seed in seeds}
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = dict(zip(seeds, pool.map(run, seeds)))
     ordered = sorted(seeds)
     return StudyReport(
-        trials=[results[s] for s in ordered if s in results],
-        failed_seeds=[(s, failures[s]) for s in ordered if s in failures],
+        trials=[outcomes[s] for s in ordered if isinstance(outcomes[s], TrialReport)],
+        failed_seeds=[(s, outcomes[s]) for s in ordered if isinstance(outcomes[s], str)],
     )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from tst import analysis
 from tst import tensor as T
 from tst import transformer as tf
 from tst.tokenizer import tokenize
@@ -76,3 +77,10 @@ def unsplit_eval(model, x, batch_size):
             logits.append(T.add(T.matmul(feature, model.w_head), model.b_head).data)
             stages.append([t.data for t in class_tokens])
     return np.concatenate(logits), [np.concatenate(stage) for stage in zip(*stages)]
+
+
+def tsne_kl(features, coords, perplexity):
+    """KL(P || Q), the cost t-SNE descends: P the joint affinities of ``features``,
+    Q the Student-t affinities of the embedding ``coords``."""
+    p = analysis._joint_affinities(np.asarray(features, dtype=np.float64), perplexity)
+    return float(np.sum(p * np.log(p / analysis._student_t_q(coords)[0])))

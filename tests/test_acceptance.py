@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import op_grad_check
+from oracles import tsne_kl
 from tst import analysis, cli, data, tensor as T
 from tst.gradcheck import max_rel_error, numerical_grads
 from tst.model import TSTConfig, TSTModel, cross_entropy_from_logits, load_checkpoint, save_checkpoint
@@ -263,10 +264,10 @@ def test_criterion_8_tsne():
     gen = np.random.default_rng(0)
     feats = np.vstack([gen.normal(size=(20, 10)), gen.normal(size=(20, 10)) + 100.0])
     labels = np.array([0] * 20 + [1] * 20)
-    res = analysis.tsne_embed(feats, perplexity=10, iterations=1000, seed=1,
-                              learning_rate=50.0)
+    embedded = analysis.tsne_embed(feats, perplexity=10, iterations=1000, seed=1,
+                                   learning_rate=50.0)
 
-    coords = np.hstack([res.coords, np.ones((40, 1))])
+    coords = np.hstack([embedded, np.ones((40, 1))])
     target = np.where(labels == 1, 1.0, -1.0)
     w = np.zeros(3)
     for _ in range(1000):
@@ -279,15 +280,19 @@ def test_criterion_8_tsne():
             break
     accuracy = float(np.mean((coords @ w > 0).astype(int) == labels))
     assert accuracy == 1.0
-    assert res.kl_final < res.kl_after_exaggeration
-    res2 = analysis.tsne_embed(feats, perplexity=10, iterations=1000, seed=1,
-                               learning_rate=50.0)
-    assert np.array_equal(res.coords, res2.coords)
+    # the same seed's first 250 iterations end where exaggeration stops
+    kl_final = tsne_kl(feats, embedded, 10)
+    kl_after_exaggeration = tsne_kl(feats, analysis.tsne_embed(
+        feats, perplexity=10, iterations=250, seed=1, learning_rate=50.0), 10)
+    assert kl_final < kl_after_exaggeration
+    rerun = analysis.tsne_embed(feats, perplexity=10, iterations=1000, seed=1,
+                                learning_rate=50.0)
+    assert np.array_equal(embedded, rerun)
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    report(8, f"two-cluster perceptron accuracy 100%; KL {res.kl_final:.3f} < "
-              f"post-exaggeration {res.kl_after_exaggeration:.3f}; seeded reruns "
+    report(8, f"two-cluster perceptron accuracy 100%; KL {kl_final:.3f} < "
+              f"post-exaggeration {kl_after_exaggeration:.3f}; seeded reruns "
               f"identical, in {elapsed:.1f}s")
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import tsne_kl
 from tst import analysis
 from tst.analysis import (REFERENCE_SWEEP, accuracy_from_confusion, collapse_to_4class,
                           confusion, cost_report, sweep_results, tsne_embed,
@@ -167,24 +168,26 @@ def perceptron_accuracy(coords, labels, passes=1000):
 
 def test_tsne_separates_far_clusters():
     feats, labels = two_clusters()
-    res = tsne_embed(feats, perplexity=10, iterations=1000, seed=1, learning_rate=50.0)
-    assert perceptron_accuracy(res.coords, labels) == 1.0
+    coords = tsne_embed(feats, perplexity=10, iterations=1000, seed=1, learning_rate=50.0)
+    assert perceptron_accuracy(coords, labels) == 1.0
 
 
 def test_tsne_kl_decreases_after_exaggeration():
     feats, _ = two_clusters(seed=3)
-    res = tsne_embed(feats, perplexity=10, iterations=600, seed=2, learning_rate=50.0)
-    assert res.kl_final < res.kl_after_exaggeration
-    assert np.all(np.isfinite(res.coords))
+    # the same seed's first 250 iterations end where exaggeration stops
+    after = tsne_embed(feats, perplexity=10, iterations=250, seed=2, learning_rate=50.0)
+    final = tsne_embed(feats, perplexity=10, iterations=600, seed=2, learning_rate=50.0)
+    assert tsne_kl(feats, final, 10) < tsne_kl(feats, after, 10)
+    assert np.all(np.isfinite(final))
 
 
 def test_tsne_deterministic_under_seed():
     feats, _ = two_clusters(seed=5)
     a = tsne_embed(feats, perplexity=10, iterations=300, seed=7)
     b = tsne_embed(feats, perplexity=10, iterations=300, seed=7)
-    np.testing.assert_array_equal(a.coords, b.coords)
+    np.testing.assert_array_equal(a, b)
     c = tsne_embed(feats, perplexity=10, iterations=300, seed=8)
-    assert np.any(a.coords != c.coords)
+    assert np.any(a != c)
 
 
 def test_tsne_preconditions():

@@ -290,6 +290,24 @@ def test_study_rejects_more_trials_than_its_bound_before_any_work(small_dataset,
     assert not out.exists()
 
 
+# 3.37e9 parameters, some 13.5 GB of float32 weights alone
+HUGE_MODEL = ["--length", "64", "--ns", "8", "--dim", "16384", "--dim-mlp", "16384"]
+
+
+@pytest.mark.parametrize("command", [["train"], ["study", "--trials", "1"]], ids=" ".join)
+def test_training_rejects_more_parameters_than_its_bound_before_any_work(tmp_path, capsys,
+                                                                         command):
+    out = tmp_path / "run"
+    # the data file is missing, so a check after loading would exit 3, a data error
+    argv = command + ["--data", str(tmp_path / "nope.csv"), "--out-dir", str(out)] + HUGE_MODEL
+    assert call_bounded(lambda: run(argv), 2**22) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: the config has 3373301770 parameters; "
+                                       f"training takes <= {cli.MAX_PARAMS}\n")
+    assert not out.exists()
+    assert run(["cost"] + HUGE_MODEL) == 0   # cost still reports such a config
+    assert "parameters (full)  :  3,373,301,770" in capsys.readouterr().out
+
+
 def test_unexpected_exception_is_one_line_exit_4(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("unexpected\nacross lines")
@@ -322,6 +340,12 @@ def test_cost_sweep_csv(tmp_path):
     lines = csv.read_text().splitlines()
     assert len(lines) == 1 + 23
     assert lines[0].startswith("label,ns,sub_len,dim")
+
+
+def test_cost_sweep_csv_creates_the_directory_of_its_output(tmp_path):
+    csv = tmp_path / "new" / "dir" / "sweep.csv"
+    assert run(["cost", "--sweep", "table4", "--csv", str(csv)]) == 0
+    assert len(csv.read_text().splitlines()) == 1 + 23
 
 
 def test_cost_csv_without_sweep_is_config_error_and_writes_nothing(tmp_path, capsys):

@@ -10,7 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -377,13 +377,20 @@ def small_halves(monkeypatch):
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """(rows, ran on another thread) of every whole-batch pass, in call order."""
-    calls, caller, real = [], threading.get_ident(), TSTModel._forward
+    """(rows, ran on another thread than its batch's ``forward``) of every whole-batch pass,
+    in call order."""
+    calls, callers = [], set()
+    real_forward, real = TSTModel.forward, TSTModel._forward
+
+    def entering(model, x, training=False, rng=None):
+        callers.add(threading.get_ident())
+        return real_forward(model, x, training, rng)
 
     def recording(model, x, training=False, rng=None):
-        calls.append((len(x.data), threading.get_ident() != caller))
+        calls.append((len(x.data), threading.get_ident() not in callers))
         return real(model, x, training, rng)
 
+    monkeypatch.setattr(TSTModel, "forward", entering)
     monkeypatch.setattr(TSTModel, "_forward", recording)
     return calls
 
@@ -441,23 +448,21 @@ def test_eval_halves_match_unsplit_batches(small_halves, dtype, atol, batch_size
     assert all(np.allclose(g, w, rtol=0, atol=atol) for g, w in zip(got_stages, want_stages))
 
 
-@contextmanager
-def without_worker(kind, monkeypatch):
-    """A setup in which ``_worker_core_free()`` is false, the ``kind`` way."""
+def without_worker(kind, monkeypatch, run):
+    """``run()`` in a setup in which ``_worker_core_free()`` is false, the ``kind`` way."""
     if kind == "one-core":
         monkeypatch.setattr(tstmodel, "_CORES", 1)
     elif kind == "four-cores":   # more cores than were measured
         monkeypatch.setattr(tstmodel, "_CORES", 4)
     elif kind == "no-blas":
         monkeypatch.setattr(tstmodel, "_one_blas_thread", lambda: False)
-    if kind == "two-trials":
-        with tstmodel.concurrent_trials(2):
-            yield
-    else:
-        yield
+    if kind != "trial-thread":
+        return run()
+    with ThreadPoolExecutor(1) as pool:   # not the main thread, as a trial beside another
+        return pool.submit(run).result()
 
 
-@pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "two-trials"])
+@pytest.mark.parametrize("kind", ["one-core", "four-cores", "no-blas", "trial-thread"])
 def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
         small_halves, monkeypatch, forward_calls, kind):
     """Without a worker the calling thread runs the whole of each batch, both of
@@ -465,9 +470,12 @@ def test_eval_without_a_worker_runs_whole_batches_with_the_same_outputs(
     x, y = split_inputs()
     with_worker = eval_outputs(split_model(), x, y, 7)
     forward_calls.clear()
-    with without_worker(kind, monkeypatch):
+
+    def run():
         assert not tstmodel._worker_core_free()
-        got_eval, got_pred, got_stages = eval_outputs(split_model(), x, y, 7)
+        return eval_outputs(split_model(), x, y, 7)
+
+    got_eval, got_pred, got_stages = without_worker(kind, monkeypatch, run)
     assert got_eval == with_worker[0] and np.array_equal(got_pred, with_worker[1])
     assert all(np.array_equal(g, w) for g, w in zip(got_stages, with_worker[2]))
     # collect_stage_features, predict and evaluate each pass batches of 7 and 6 rows,
@@ -571,6 +579,24 @@ def test_run_pair_waits_for_the_worker_before_the_first_calls_error_propagates(m
     assert finished.is_set()
 
 
+@needs_worker
+def test_run_pair_called_on_the_worker_runs_its_pair_in_turn():
+    # a fresh process, so that a worker waiting on itself cannot hang the suite
+    script = (
+        "import threading\n"
+        "from tst import model\n"
+        "model._CORES = 2   # as on a host of two cores\n"
+        "get = threading.get_ident\n"
+        "inner = lambda: (get(), model._run_pair(get, get))\n"
+        "main, (worker, pair) = model._run_pair(get, inner)\n"
+        "assert worker != main and pair == (worker, worker), (main, worker, pair)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 5])
 def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
     seen = set()
@@ -578,14 +604,14 @@ def test_study_trials_use_the_worker_only_when_alone(monkeypatch, jobs):
 
     def recording(model, x, training=False, rng=None):
         if not training:
-            seen.add((tstmodel._TRIALS.count, tstmodel._worker_core_free()))
+            seen.add(tstmodel._worker_core_free())
         return real(model, x, training, rng)
 
     monkeypatch.setattr(TSTModel, "forward", recording)
     monkeypatch.setattr(tstmodel, "_CORES", 2)
     free = tstmodel._worker_core_free()
     repeat_trials(two_class_split(), quick_cfg(1), seeds=[1, 2], jobs=jobs)
-    assert seen == {(min(jobs, 2), free and jobs == 1)}
+    assert seen == {free and jobs == 1}
 
 
 # ---------------------------------------------------------------------------
