@@ -67,7 +67,9 @@ _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
 _GELU_CHUNK = 2**16
 # score elements per attention block: a 1 MiB float32 tile, half a 2 MiB
 # per-core L2, so the softmax passes over it do not stream from memory, and the
-# pullback's two tiles (probabilities and score adjoints) fit L2 together
+# pullback's two tiles (probabilities and score adjoints) fit L2 together. An eval
+# block's working set also holds its row block's q, k and v projections: 1.2 MB for
+# one stock row (257 x 3 x 384 float32), where one row's scores already fill a block
 _ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -376,8 +378,9 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 def _even_slices(total: int, most: int) -> list[slice]:
-    """0..total as ceil(total / most) consecutive slices of near-equal length."""
-    count = -(-total // most)
+    """0..total as ceil(total / most) consecutive slices of near-equal length; an empty
+    range as one empty slice, so a loop over the slices runs once for an empty batch."""
+    count = max(1, -(-total // most))
     edges = [total * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -395,22 +398,30 @@ def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> 
     each head attends with softmax(q k^T / sqrt(d_k)) v, and the heads'
     contexts come out side by side, (B, m, heads*d_k). Keys and values come
     from all n rows; queries only from the leading m = ``queries`` rows (all
-    of them by default), so the output has one row per query. The heads are
-    strided views of two projection products (one key/value GEMM over all
-    rows, one query GEMM over the leading m), and q is scaled in place.
+    of them by default), so the output has one row per query.
 
     Scores, softmax and context run over blocks whose score tile holds at
     most ``_ATTN_BLOCK`` elements, so the softmax passes run while the tile
     is in cache: the B rows split into near-equal blocks of whole rows, and
     a row whose (heads, m, n) scores alone exceed the bound splits into
     near-equal blocks of heads. One tile is reused for every block, so the
-    full (B, heads, m, n) probabilities are never built. A recorded node
-    keeps x, the concatenated weights, the scaled q, k, v, the output, and
-    each softmax row's max and sum, (B, heads, m, 1) each. Its pullback
-    rebuilds each block's probabilities from those statistics by the same
-    ops on the same operands, so they come out bit for bit as in the
-    forward, then writes the softmax, matmul and projection adjoints out by
-    hand, with a zero query adjoint for the rows past m.
+    full (B, heads, m, n) probabilities are never built. Each row block is
+    projected inside the loop, by one key/value GEMM over its n rows and
+    one query GEMM over its leading m, and its heads are strided views of
+    those two products, q scaled in place. With a node to record, the row
+    block's products land in its rows of whole-batch q and kv arrays, which
+    the pullback reads; without one, in one buffer of a row block's size
+    that the next row block overwrites, so an eval forward never holds the
+    whole batch's q, k and v, 3*heads*d_k wide per input row. Either way
+    the same GEMMs run on the same operands, so the output is bit for bit
+    the same.
+
+    A recorded node keeps x, the concatenated weights, the scaled q, k, v,
+    the output, and each softmax row's max and sum, (B, heads, m, 1) each.
+    Its pullback rebuilds each block's probabilities from those statistics
+    by the same ops on the same operands, so they come out bit for bit as in
+    the forward, then writes the softmax, matmul and projection adjoints out
+    by hand, with a zero query adjoint for the rows past m.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
@@ -427,29 +438,41 @@ def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> 
         raise ShapeError(f"projection width {width} does not split into {heads} heads")
     d_k = width // heads
     w = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)    # (dim, 3*width)
-    kv = np.matmul(x.data.reshape(b * n, dim), w[:, width:])
-    k, v = kv.reshape(b, n, 2, heads, d_k).transpose(2, 0, 3, 1, 4)   # (B, heads, n, d_k)
-    q = np.matmul(x.data[:, :m].reshape(b * m, dim), w[:, :width])
-    q = q.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
-    scale = q.dtype.type(1.0 / math.sqrt(d_k))
-    q *= scale                     # scale q rather than the much larger scores
     rows = max(1, _ATTN_BLOCK // (heads * m * n))
     head_rows = max(1, _ATTN_BLOCK // (m * n))   # < heads only when one row's scores exceed a block
-    blocks = [(r, h) for r in _even_slices(b, rows) for h in _even_slices(heads, head_rows)]
+    row_blocks, head_blocks = _even_slices(b, rows), _even_slices(heads, head_rows)
+    blocks = [(r, h) for r in row_blocks for h in head_blocks]
     tile_size = max((r.stop - r.start) * (h.stop - h.start) for r, h in blocks) * m * n
-    buffer = np.empty(tile_size, dtype=q.dtype)
-    row_max = np.empty((b, heads, m, 1), dtype=q.dtype)
-    row_sum = np.empty((b, heads, m, 1), dtype=q.dtype)
-    out = np.empty((b, m, heads, d_k), dtype=q.dtype)
+    dtype = np.result_type(x.data, w)
+    buffer = np.empty(tile_size, dtype=dtype)
+    # rows of projections held at once: every row for a recorded node's pullback, else one
+    # row block's, overwritten by the next row block
+    held = b if _records(x, w_q, w_k, w_v) else max(r.stop - r.start for r in row_blocks)
+    kv = np.empty((held, n, 2, heads, d_k), dtype=dtype)
+    q = np.empty((held, m, heads, d_k), dtype=dtype)
+    scale = dtype.type(1.0 / math.sqrt(d_k))
+    row_max = np.empty((b, heads, m, 1), dtype=dtype)
+    row_sum = np.empty((b, heads, m, 1), dtype=dtype)
+    out = np.empty((b, m, heads, d_k), dtype=dtype)
     ctx = out.transpose(0, 2, 1, 3)
-    for r, h in blocks:
-        p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(buffer, r, h, m, n))
-        row_max[r, h] = np.max(p, axis=-1, keepdims=True)
-        p -= row_max[r, h]
-        np.exp(p, out=p)
-        row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
-        p /= row_sum[r, h]
-        np.matmul(p, v[r, h], out=ctx[r, h])
+    for r in row_blocks:
+        at = r if held == b else slice(0, r.stop - r.start)
+        kv_r, q_r = kv[at], q[at]
+        np.matmul(x.data[r].reshape(-1, dim), w[:, width:], out=kv_r.reshape(-1, 2 * width))
+        np.matmul(x.data[r, :m].reshape(-1, dim), w[:, :width], out=q_r.reshape(-1, width))
+        q_r *= scale               # scale q rather than the much larger scores
+        k_r, v_r = kv_r.transpose(2, 0, 3, 1, 4)   # (rows, heads, n, d_k)
+        q_r = q_r.transpose(0, 2, 1, 3)
+        for h in head_blocks:
+            p = np.matmul(q_r[:, h], k_r[:, h].swapaxes(-1, -2), out=_tile(buffer, r, h, m, n))
+            row_max[r, h] = np.max(p, axis=-1, keepdims=True)
+            p -= row_max[r, h]
+            np.exp(p, out=p)
+            row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
+            p /= row_sum[r, h]
+            np.matmul(p, v_r[:, h], out=ctx[r, h])
+    k, v = kv.transpose(2, 0, 3, 1, 4)   # what the pullback reads: every row, when recorded
+    q = q.transpose(0, 2, 1, 3)
     out = out.reshape(b, m, width)
     x_data, x_grad = x.data, x.requires_grad
 

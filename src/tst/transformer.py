@@ -26,9 +26,11 @@ block input, q, k, v, the output and each softmax row's max and sum,
 transpose copy; in the class-only block those statistics are
 (B, heads, 1, 1). The op works through cache-sized blocks of rows (of
 heads, where one row's scores exceed a block) and reuses one score tile
-for every block, in training and eval alike; the pullback recomputes each
-block's probabilities from the kept statistics, bit for bit. Only ``w_o``
-is a separate matmul.
+for every block, in training and eval alike; it projects each row block
+inside that loop, so an eval forward holds one row block's q, k and v,
+not the batch's, while a recording forward fills whole-batch q, k and v
+for the pullback. The pullback recomputes each block's probabilities from
+the kept statistics, bit for bit. Only ``w_o`` is a separate matmul.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from tst import model as tstmodel
 from tst.errors import ConfigError, DataError
 from tst.model import (TSTConfig, TSTModel, cross_entropy_from_logits, load_checkpoint,
                        save_checkpoint)
-from tst.tensor import Tape, Tensor, backward, log_softmax
+from tst.tensor import Tape, Tensor, backward, log_softmax, no_grad
 from tst.training import AdamState, adam_step
 
 TINY = dict(L=32, ns=4, dim=8, dim_mlp=16, d_k=4, heads=2, depth=1, n_class=10,
@@ -195,6 +195,33 @@ def test_predict_matches_forward(rng):
     x = rng.normal(size=(5, 32))
     np.testing.assert_array_equal(model.predict(x),
                                   np.argmax(model.forward(x).logits.data, axis=1))
+
+
+def test_empty_batch_gives_empty_logits_and_predictions():
+    model = tiny_model(seed=4)
+    empty = np.zeros((0, 32))
+    assert model.forward(empty).logits.shape == (0, 10)
+    assert model.predict(empty).shape == (0,)
+
+
+def test_eval_forward_never_holds_whole_shard_projections(rng):
+    # 16 stock windows run as two shards of 8 rows: at once on a 2-core host's main thread
+    # and worker, in turn elsewhere. One shard's activation is 8 x 257 x 128 float32, ~1 MB.
+    # Its whole-shard q, k and v are 3 * heads * d_k / dim = 9 activations; an attention that
+    # holds them beside the block's input, that input's layer norm and its own output (3
+    # activations wide) holds 14, above the bound of 12 per running shard. Projecting one
+    # row block at a time, the forward peaks near 10 per shard, level across attention,
+    # gelu and add.
+    cfg = TSTConfig()
+    model = TSTModel(cfg, seed=0)
+    x = rng.normal(size=(16, cfg.L)).astype(np.float32)
+    activation = 8 * (cfg.ns + 1) * cfg.dim * 4
+    projections = 3 * 8 * (cfg.ns + 1) * cfg.heads * cfg.d_k * 4
+    at_once = 2 if tstmodel._worker_core_free() else 1
+    with no_grad():
+        logits = call_bounded(lambda: model.forward(x).logits,
+                              at_once * (projections + 3 * activation))
+    assert logits.shape == (16, cfg.n_class)
 
 
 def test_logit_shift_invariance(rng):

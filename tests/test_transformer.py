@@ -185,6 +185,30 @@ def test_eval_attention_never_holds_the_full_probabilities(rng):
     assert out.shape == (b, n, dim)
 
 
+def test_eval_attention_never_holds_whole_batch_projections(rng):
+    b, n, heads, dim, d_k = 256, 33, 4, 32, 24    # projection width 96 = 3 * dim
+    assert T._ATTN_BLOCK < b * heads * n * n      # so the rows run as several row blocks
+    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32))]
+    inputs += [Tensor(rng.normal(size=(dim, heads * d_k)).astype(np.float32)) for _ in range(3)]
+    projections = 3 * b * n * heads * d_k * 4    # whole-batch q, k and v: 9.7 MB of float32
+    with T.no_grad():
+        out = call_bounded(lambda: T.self_attention(*inputs, heads), projections)
+    assert out.shape == (b, n, heads * d_k)
+
+
+@pytest.mark.parametrize("queries", [None, 1], ids=["all-rows", "query1"])
+def test_self_attention_of_an_empty_batch_is_empty(rng, queries):
+    arrays = _attention_inputs(rng, heads=2, b=0)
+    with T.no_grad():
+        assert T.self_attention(*arrays, 2, queries=queries).shape == (0, queries or 5, 6)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = T.self_attention(*inputs, 2, queries=queries)
+    assert out.shape == (0, queries or 5, 6)
+    grads = backward(T.tsum(out), inputs)
+    assert [g.shape for g in grads] == [a.shape for a in arrays]
+    assert not any(g.any() for g in grads)
+
+
 def test_recorded_attention_never_holds_the_full_probabilities(rng):
     b, n, heads, dim = 32, 129, 4, 8
     inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32), requires_grad=True)]
