@@ -11,12 +11,12 @@ of recorded nodes), replays the pullbacks and returns the gradient of each
 tensor in ``wrt``; it writes no tensor.
 
 A node keeps only what its pullback reads. It holds no tensor: each
-pullback binds the arrays, shapes and flags its formula
-uses (a matmul keeps its operands, an add only their shapes, ``gelu`` its
-derivative, ``self_attention`` each softmax row's max and sum, from which
-its pullback recomputes the probabilities). So an intermediate value no
-pullback reads is freed as soon as the forward drops its tensor, not when
-backward reaches it.
+pullback binds the arrays, shapes and flags its formula uses (a matmul
+keeps its operands, an add only their shapes, ``gelu`` its derivative).
+The fused ops recompute instead: ``self_attention`` keeps each softmax
+row's max and sum, not the probabilities; ``feed_forward`` its norm's xhat
+and row statistic, no MLP-width activation. An intermediate value no
+pullback reads is freed as soon as the forward drops its tensor.
 ``Tensor._vjp`` reads and replaces the node's pullback: ``backward()``
 reads it to tell a leaf from an op result, and the benchmark's span tracer
 wraps pullbacks through it.
@@ -62,8 +62,8 @@ _ERF_Q = (-1.42647390514189e-2, -7.37332916720468e-3, -1.68282697438203e-3,
 _PHI_P = np.array([a * 0.5 ** (k + 1.5) for k, a in enumerate(_ERF_P)][::-1], dtype=np.float32)
 _PHI_Q = np.array([b * 0.5 ** k for k, b in enumerate(_ERF_Q)][::-1], dtype=np.float32)
 _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
-# elements per pass of the float32 kernel: its three 256 KiB buffers stay in
-# cache, which on the stock MLP's activations runs ~3x faster than whole-array passes
+# elements per pass of the float32 kernel, and of MLP width per feed_forward row block: its
+# three 256 KiB buffers stay in cache, ~3x faster than whole-array passes on stock activations
 _GELU_CHUNK = 2**16
 # score elements per attention block: a 1 MiB float32 tile, half a 2 MiB
 # per-core L2, so the softmax passes over it do not stream from memory, and the
@@ -400,28 +400,20 @@ def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> 
     from all n rows; queries only from the leading m = ``queries`` rows (all
     of them by default), so the output has one row per query.
 
-    Scores, softmax and context run over blocks whose score tile holds at
-    most ``_ATTN_BLOCK`` elements, so the softmax passes run while the tile
-    is in cache: the B rows split into near-equal blocks of whole rows, and
-    a row whose (heads, m, n) scores alone exceed the bound splits into
-    near-equal blocks of heads. One tile is reused for every block, so the
-    full (B, heads, m, n) probabilities are never built. Each row block is
-    projected inside the loop, by one key/value GEMM over its n rows and
-    one query GEMM over its leading m, and its heads are strided views of
-    those two products, q scaled in place. With a node to record, the row
-    block's products land in its rows of whole-batch q and kv arrays, which
-    the pullback reads; without one, in one buffer of a row block's size
-    that the next row block overwrites, so an eval forward never holds the
-    whole batch's q, k and v, 3*heads*d_k wide per input row. Either way
-    the same GEMMs run on the same operands, so the output is bit for bit
-    the same.
+    The B rows run in near-equal blocks (a row whose (heads, m, n) scores
+    alone exceed ``_ATTN_BLOCK`` elements, in near-equal blocks of heads)
+    through one reused score tile, so the softmax passes run in cache and
+    the full probabilities are never built. Each row block's key/value and
+    query GEMMs run inside the loop, into its rows of whole-batch q, k and v
+    when a node is recorded, else into one row block's buffer, so an eval
+    forward never holds the batch's projections. The same GEMMs run on the
+    same operands either way, so the output is bit for bit the same.
 
     A recorded node keeps x, the concatenated weights, the scaled q, k, v,
     the output, and each softmax row's max and sum, (B, heads, m, 1) each.
     Its pullback rebuilds each block's probabilities from those statistics
-    by the same ops on the same operands, so they come out bit for bit as in
-    the forward, then writes the softmax, matmul and projection adjoints out
-    by hand, with a zero query adjoint for the rows past m.
+    by the forward's ops, bit for bit, then writes the softmax, matmul and
+    projection adjoints by hand, with a zero query adjoint for rows past m.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     if x.ndim != 3:
@@ -520,7 +512,28 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     return _result(ls, (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def _ln_forward(x: np.ndarray, out: np.ndarray | None = None):
+    """xhat of x's last axis (into ``out`` if given) and each row's 1/sqrt(var + 1e-5)."""
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)   # centered once
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)                  # as np.var computes it
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv
+    return xhat, inv
+
+
+def _ln_pullback(g, gain, xhat, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoints of ``gain * xhat + bias`` for the input, the gain and the bias."""
+    gx = g * gain
+    t = gx * xhat
+    inner = t.mean(axis=-1, keepdims=True)
+    gx -= gx.mean(axis=-1, keepdims=True)   # in place, the same roundings as
+    gx -= np.multiply(xhat, inner, out=t)   # (gh - mean(gh) - xhat * mean(gh xhat)) * inv
+    gx *= inv
+    lead = tuple(range(g.ndim - 1))
+    return gx, np.multiply(g, xhat, out=t).sum(axis=lead), g.sum(axis=lead)
+
+
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply the
     elementwise affine ``gain * xhat + bias``."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -529,28 +542,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match last extent {dim}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)   # centered once
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)       # as np.var computes it
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out = xhat * gain.data + bias.data
+    xhat, inv = _ln_forward(x.data)
     gain_data = gain.data
-    x_grad, gain_grad, bias_grad = x.requires_grad, gain.requires_grad, bias.requires_grad
+    needed = (x.requires_grad, gain.requires_grad, bias.requires_grad)
 
     def vjp(g):
-        gx = ggain = gbias = None
-        if x_grad:
-            gh = g * gain_data
-            gx = (gh - gh.mean(axis=-1, keepdims=True)
-                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) * inv
-        lead = tuple(range(g.ndim - 1))
-        if gain_grad:
-            ggain = (g * xhat).sum(axis=lead)
-        if bias_grad:
-            gbias = g.sum(axis=lead)
-        return gx, ggain, gbias
+        grads = _ln_pullback(g, gain_data, xhat, inv)
+        return tuple(grad if need else None for grad, need in zip(grads, needed))
 
-    return _result(out, (x, gain, bias), vjp)
+    return _result(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def _horner(s: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -575,13 +575,17 @@ def _add_x_pdf(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu32(x: np.ndarray, deriv: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """gelu of a contiguous float32 array by the rational kernel, and with
-    ``deriv`` also Phi(x) + x * pdf(x). Works through the array in chunks of
-    ``_GELU_CHUNK`` elements, over three reused buffers."""
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    grad = np.empty_like(flat) if deriv else None
+def _gelu_into(x: np.ndarray, out: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
+    """x * Phi(x) into ``out``, which may be ``x`` itself, and with ``grad`` also the
+    derivative Phi(x) + x * pdf(x). A contiguous float32 ``x`` goes through the rational
+    kernel in chunks of ``_GELU_CHUNK`` elements, over three reused buffers."""
+    if x.dtype != np.float32:
+        phi = 0.5 * (1.0 + np.asarray(_erf(x * _INV_SQRT2), dtype=x.dtype))
+        if grad is not None:
+            _add_x_pdf(x, phi, grad)
+        return np.multiply(x, phi, out=out)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    flat_grad = None if grad is None else grad.reshape(-1)
     buffers = np.empty((3, min(_GELU_CHUNK, flat.size)), dtype=np.float32)
     for i in range(0, flat.size, _GELU_CHUNK):
         part = flat[i:i + _GELU_CHUNK]
@@ -593,10 +597,10 @@ def _gelu32(x: np.ndarray, deriv: bool) -> tuple[np.ndarray, np.ndarray | None]:
         phi *= c
         phi /= _horner(s, _PHI_Q, c)   # c is read for the last time above
         phi += 0.5
-        np.multiply(part, phi, out=out[i:i + n])
-        if deriv:
-            _add_x_pdf(part, phi, grad[i:i + n])
-    return out.reshape(x.shape), None if grad is None else grad.reshape(x.shape)
+        if grad is not None:
+            _add_x_pdf(part, phi, flat_grad[i:i + n])
+        np.multiply(part, phi, out=flat_out[i:i + n])
+    return out
 
 
 def gelu(x) -> Tensor:
@@ -609,16 +613,68 @@ def gelu(x) -> Tensor:
     no derivative is computed.
     """
     x = as_tensor(x)
-    deriv = _records(x)
-    if x.dtype == np.float32:
-        out, grad = _gelu32(x.data, deriv)
-    else:
-        phi = 0.5 * (1.0 + np.asarray(_erf(x.data * _INV_SQRT2), dtype=x.dtype))
-        out = x.data * phi
-        grad = _add_x_pdf(x.data, phi, np.empty_like(phi)) if deriv else None
-    if grad is None:
-        return Tensor(out)
-    return _result(out, (x,), lambda g: (g * grad,))
+    grad = np.empty_like(x.data) if _records(x) else None
+    return _result(_gelu_into(x.data, np.empty_like(x.data), grad), (x,), lambda g: (g * grad,))
+
+
+def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
+    """A block's feed-forward half, gelu(layer_norm(x) @ w1 + b1) @ w2 + b2, as one op.
+
+    ``x`` is (B, n, dim). Forward and pullback run near-equal blocks of whole batch rows,
+    at most ``_GELU_CHUNK`` elements of MLP width each, through reused buffers. A recorded
+    node keeps only the norm's xhat and each row's 1/sqrt(var + eps); its pullback
+    recomputes each block's norm output, ``w1`` GEMM and gelu with its derivative. Each
+    per-row GEMM, elementwise pass and reduction is the composed ops' own, so the output
+    and every adjoint are bit for bit theirs.
+    """
+    inputs = tuple(as_tensor(t) for t in (x, ln_gain, ln_bias, w1, b1, w2, b2))
+    x, gain, bias, w1, b1, w2, b2 = (t.data for t in inputs)
+    if x.ndim != 3:
+        raise ShapeError(f"feed_forward needs a (B, n, dim) input, got {x.shape}")
+    (b, n, dim), width, dim_out = x.shape, w1.shape[-1], w2.shape[-1]
+    shapes = (gain.shape, bias.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    if shapes != ((dim,), (dim,), (dim, width), (width,), (width, dim_out), (dim_out,)):
+        raise ShapeError(f"feed_forward shapes {x.shape}, {shapes} do not chain")
+    needed = tuple(t.requires_grad for t in inputs)
+    row_blocks = _even_slices(b, max(1, _GELU_CHUNK // (n * width)))
+    rows = max(r.stop - r.start for r in row_blocks)
+    held = b if _records(*inputs) else rows   # xhat rows: all for the pullback, else one block
+    xhat, inv = np.empty((held, n, dim), dtype=x.dtype), np.empty((held, n, 1), dtype=x.dtype)
+    dtype = np.result_type(x, gain, bias, w1, b1, w2, b2)
+
+    def hidden(at: slice, a: np.ndarray, d: np.ndarray | None = None):
+        """h, the norm output of xhat rows ``at``; gelu(h @ w1 + b1) into ``a``, gelu' into ``d``."""
+        h = xhat[at] * gain
+        h += bias
+        np.matmul(h, w1, out=a)
+        a += b1
+        return h, _gelu_into(a, a, d)
+
+    buffer, out = np.empty((rows, n, width), dtype=dtype), np.empty((b, n, dim_out), dtype=dtype)
+    for r in row_blocks:
+        at = r if held == b else slice(0, r.stop - r.start)
+        inv[at] = _ln_forward(x[r], xhat[at])[1]
+        np.matmul(hidden(at, buffer[:r.stop - r.start])[1], w2, out=out[r])
+        out[r] += b2
+
+    def vjp(g):
+        gu, gh = np.empty((b, n, width), dtype=g.dtype), np.empty((b, n, dim), dtype=g.dtype)
+        gw1, gw2 = np.empty((b, dim, width), g.dtype), np.empty((b, width, dim_out), g.dtype)
+        activation, derivative = np.empty((2, rows, n, width), dtype=dtype)
+        for r in row_blocks:
+            d = derivative[:r.stop - r.start]
+            h, a = hidden(r, activation[:r.stop - r.start], d)
+            np.matmul(np.swapaxes(a, -1, -2), g[r], out=gw2[r])
+            np.matmul(g[r], w2.T, out=gu[r])
+            gu[r] *= d
+            np.matmul(np.swapaxes(h, -1, -2), gu[r], out=gw1[r])
+            np.matmul(gu[r], w1.T, out=gh[r])
+        grads = _ln_pullback(gh, gain, xhat, inv) + (
+            _unbroadcast(gw1, w1.shape), _unbroadcast(gu, b1.shape),
+            _unbroadcast(gw2, w2.shape), _unbroadcast(g, b2.shape))
+        return tuple(grad if need else None for grad, need in zip(grads, needed))
+
+    return _result(out, inputs, vjp)
 
 
 def dropout(x, p_drop: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -18,19 +18,13 @@ Projections carry no bias terms; the MLP does. Attention heads are stored
 fused: w_q/w_k/w_v are (dim, heads*d_k) and w_o maps (heads*d_k) back to
 dim, so a block's dim and d_k are read off ``w_q.shape``.
 
-The attention itself is one op, ``tensor.self_attention``: the three
-projections, the per-head scaled dot products, the softmax and the head
-merge run as a single node whose hand-written pullback keeps only the
-block input, q, k, v, the output and each softmax row's max and sum,
-(B, heads, m, 1) each, not the scores, the probabilities or any per-head
-transpose copy; in the class-only block those statistics are
-(B, heads, 1, 1). The op works through cache-sized blocks of rows (of
-heads, where one row's scores exceed a block) and reuses one score tile
-for every block, in training and eval alike; it projects each row block
-inside that loop, so an eval forward holds one row block's q, k and v,
-not the batch's, while a recording forward fills whole-batch q, k and v
-for the pullback. The pullback recomputes each block's probabilities from
-the kept statistics, bit for bit. Only ``w_o`` is a separate matmul.
+Each half of a block is one recorded op: ``tensor.self_attention`` (the
+three projections, per-head scaled dot products, softmax and head merge),
+followed by a separate ``w_o`` matmul, and ``tensor.feed_forward`` (the
+second norm, both MLP GEMMs and gelu). Neither node keeps a score-sized or
+MLP-width array, and their pullbacks recompute those bit for bit. Dropout
+and the residual adds stay outside both ops, so the dropout draws keep
+their order.
 """
 
 from __future__ import annotations
@@ -132,9 +126,8 @@ def block_forward(
         x = x[:, :1, :]
     x = T.add(x, T.dropout(attn, p_drop, training, rng))
 
-    h = T.layer_norm(x, params.ln2_gain, params.ln2_bias)
-    h = T.gelu(T.add(T.matmul(h, params.w1), params.b1))
-    h = T.add(T.matmul(h, params.w2), params.b2)
+    h = T.feed_forward(x, params.ln2_gain, params.ln2_bias, params.w1, params.b1, params.w2,
+                       params.b2)
     return T.add(x, T.dropout(h, p_drop, training, rng))
 
 

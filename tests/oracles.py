@@ -53,6 +53,14 @@ def self_attention(x, w_q, w_k, w_v, heads, queries=None):
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, m, width))
 
 
+def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2):
+    """``tensor.feed_forward`` composed from primitives: a block's MLP half as layer norm,
+    matmul, bias add, gelu, matmul and bias add, each its own recorded node."""
+    h = T.layer_norm(x, ln_gain, ln_bias)
+    h = T.gelu(T.add(T.matmul(h, w1), b1))
+    return T.add(T.matmul(h, w2), b2)
+
+
 def stack_forward(tokens, stack, *, training=False, p_drop=0.0, rng=None):
     """``transformer.stack_forward`` with every block over every row: the
     function the stack with a class-only last block must still compute."""

@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -222,6 +223,32 @@ def test_eval_forward_never_holds_whole_shard_projections(rng):
         logits = call_bounded(lambda: model.forward(x).logits,
                               at_once * (projections + 3 * activation))
     assert logits.shape == (16, cfg.n_class)
+
+
+def test_training_forward_retains_no_mlp_activations(rng):
+    # What a batch-8 stock training forward leaves recorded, per token of each block: two
+    # layer norms' xhat and row statistic, attention's input, q, k, v and output, and each
+    # softmax row's max and sum (2 * (dim + 1) + dim + 4 * heads * d_k + 2 * heads floats),
+    # plus two one-byte dropout masks a dim wide; and once per block and shard, the fused
+    # (dim, 3 * heads * d_k) projection weights attention concatenates. Counting the
+    # class-only last block as a full one leaves ~1 MB a window for the tokenizer and head.
+    # That is 105.7 MB at stock shapes; keeping the MLP's norm output, gelu output and gelu
+    # derivative (640 more floats a token and block) retains ~124 MB.
+    cfg = TSTConfig()
+    model = TSTModel(cfg, seed=0)
+    x = rng.normal(size=(8, cfg.L)).astype(np.float32)
+    width = cfg.heads * cfg.d_k
+    floats = 2 * (cfg.dim + 1) + cfg.dim + 4 * width + 2 * cfg.heads
+    per_block = (cfg.ns + 1) * (4 * floats + 2 * cfg.dim)
+    bound = cfg.depth * (8 * per_block + 2 * cfg.dim * 3 * width * 4)
+    tracemalloc.start()
+    try:
+        logits = model.forward(x, training=True, rng=np.random.default_rng(1)).logits
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits.requires_grad and logits.shape == (8, cfg.n_class)
+    assert retained < bound, f"retained {retained} bytes, bound {bound}"
 
 
 def test_logit_shift_invariance(rng):

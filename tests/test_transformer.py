@@ -1,10 +1,11 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import call_bounded, op_grad_check
-from oracles import scaled_dot_product_attention, self_attention
+from oracles import feed_forward, scaled_dot_product_attention, self_attention
 from oracles import stack_forward as all_rows_stack_forward
 from tst import model as tstmodel
 from tst import tensor as T
@@ -238,6 +239,92 @@ def test_attention_weights_sum_to_one_per_query(rng, monkeypatch, split):
         _blocks_of_two(monkeypatch, heads, n, None, split)
     out = T.self_attention(x, w_q, w_k, w_v, heads).data
     np.testing.assert_allclose(out, np.broadcast_to(u, out.shape), rtol=1e-12, atol=1e-12)
+
+
+def _feed_forward_inputs(rng, b, n=7, dim=6, width=10, dtype=np.float64):
+    """x (b, n, dim), the norm's gain and bias, w1, b1, w2 and b2, all in ``dtype``."""
+    shapes = [(b, n, dim), (dim,), (dim,), (dim, width), (width,), (width, dim), (dim,)]
+    return [rng.normal(size=shape).astype(dtype) for shape in shapes]
+
+
+# "rows": five rows through feed_forward's row blocks of 1, 2 and 2 (one whole block else);
+# "class-only": the last block's (B, 1, dim); "stock": one stock shard row per block
+@pytest.mark.parametrize("b, n, dim, width, blocks", [
+    (5, 7, 6, 10, False), (5, 7, 6, 10, True), (3, 1, 6, 10, False), (0, 7, 6, 10, False),
+    (2, 257, 128, 256, False)], ids=["whole", "rows", "class-only", "empty", "stock"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_feed_forward_matches_composed_oracle(rng, monkeypatch, b, n, dim, width, blocks,
+                                              dtype):
+    # float32 must give the composed ops' bits; float64's exact erf is held to 1e-12
+    arrays = _feed_forward_inputs(rng, b, n, dim, width, dtype)
+    weighting = Tensor(rng.normal(size=(b, n, dim)).astype(dtype))
+    if blocks:
+        monkeypatch.setattr(T, "_GELU_CHUNK", 2 * n * width)
+    results = []
+    for op in (T.feed_forward, feed_forward):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*inputs)
+        grads = backward(T.tsum(T.mul(out, weighting)), inputs)
+        with T.no_grad():
+            unrecorded = op(*arrays)
+        results.append([out.data, unrecorded.data] + grads)
+    assert len(results[0]) == 9
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype and fused.shape == composed.shape
+        if dtype == np.float32:
+            assert np.array_equal(fused, composed)
+        else:
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+
+def test_feed_forward_rejects_mismatched_shapes(rng):
+    arrays = _feed_forward_inputs(rng, b=2)
+    with pytest.raises(ShapeError):
+        T.feed_forward(arrays[0][0], *arrays[1:])          # no batch axis
+    for i, wrong in [(1, (5,)), (3, (6, 9)), (4, (9,)), (5, (9, 6)), (6, (5,))]:
+        bad = list(arrays)
+        bad[i] = np.zeros(wrong)
+        with pytest.raises(ShapeError):
+            T.feed_forward(*bad)
+
+
+def _stock_mlp(rng, b):
+    """Recorded float32 feed_forward inputs at a stock block's shape: (b, 257, 128) rows,
+    MLP width 256."""
+    cfg = TSTConfig()
+    arrays = _feed_forward_inputs(rng, b, cfg.ns + 1, cfg.dim, cfg.dim_mlp, np.float32)
+    return [Tensor(a, requires_grad=True) for a in arrays], cfg
+
+
+def test_recorded_feed_forward_keeps_only_the_normalized_input(rng):
+    inputs, cfg = _stock_mlp(rng, b=4)
+    x = inputs[0]
+    kept = x.data.nbytes + x.data.nbytes // cfg.dim   # xhat and one 1/sqrt(var + eps) a row
+    mlp_wide = 4 * (cfg.ns + 1) * cfg.dim_mlp * 4     # one MLP-width array: 1.05 MB
+    tracemalloc.start()
+    try:
+        out = T.feed_forward(*inputs)
+        retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained < kept + 2**14 < mlp_wide, (retained, kept)
+    grads = backward(T.tsum(out), inputs)
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
+
+
+def test_unrecorded_feed_forward_holds_one_row_block(rng):
+    # eight stock rows run as eight row blocks of one row, since one row's MLP activations
+    # (257 x 256) already fill _GELU_CHUNK. Beside its output the op holds that row's buffer
+    # of MLP width, the gelu kernel's three chunk buffers (_GELU_CHUNK elements each), and
+    # the row's xhat and norm output: 1.31 MB, under the 2.1 MB of one whole-batch
+    # MLP-width array.
+    inputs, cfg = _stock_mlp(rng, b=8)
+    tokens = cfg.ns + 1
+    output = 8 * tokens * cfg.dim * 4
+    bound = output + tokens * cfg.dim_mlp * 4 + 3 * T._GELU_CHUNK * 4 + 2 * tokens * cfg.dim * 4
+    with T.no_grad():
+        out = call_bounded(lambda: T.feed_forward(*inputs), bound + 2**16)
+    assert out.shape == (8, tokens, cfg.dim) and not out.requires_grad
 
 
 def test_block_identity_when_branches_vanish(rng):
