@@ -11,7 +11,7 @@ import numpy as np
 
 from tst import data
 from tst.model import TSTConfig, TSTModel
-from tst.tensor import Tensor
+from tst.tensor import Tensor, layer_norm
 from tst.tokenizer import TokenizerParams, tokenize
 from tst.transformer import multi_head
 
@@ -35,11 +35,12 @@ print(f"slot 0 identical across inputs (class token is learned, not derived): "
 print("\n== attention maps ==")
 model = TSTModel(model_cfg, seed=0)
 block = model.stack.blocks[0]
-out = multi_head(tokens, block)
-# the maps the attention op softmaxes block by block, rebuilt here whole: split
-# the heads, scale by 1/sqrt(d_k), then softmax each row
+out = multi_head(tokens, block)   # the block's attention half: ln1, attention and w_o
+# the maps the attention op softmaxes block by block, rebuilt here whole: normalize
+# the tokens with ln1, split the heads, scale by 1/sqrt(d_k), then softmax each row
+normed = layer_norm(tokens, block.ln1_gain, block.ln1_bias).data
 d_k = block.w_q.shape[1] // block.heads
-q, k = (np.einsum("bnd,dhk->bhnk", tokens.data,
+q, k = (np.einsum("bnd,dhk->bhnk", normed,
                   w.data.reshape(-1, block.heads, d_k)) for w in (block.w_q, block.w_k))
 scores = q @ k.swapaxes(-1, -2) / d_k ** 0.5
 weights = np.exp(scores - scores.max(axis=-1, keepdims=True))

@@ -121,10 +121,7 @@ class TSTModel:
     """
 
     # rows x ns x dim of the config's half batch below which batches run whole, in training
-    # and in eval alike, so that every step of a trial records the same graphs. At 2**16 the
-    # desk config (batch 64: 32 x 64 x 32 per half) shards; with one kept worker thread it
-    # trained faster than whole batches in every alternating benchmark pair on a 2-core host.
-    # Smaller shapes lost outright, as the per-op cost of two graphs outweighs the second core.
+    # and eval alike, so a trial's steps record the same graphs (the desk config shards)
     _HALF_MIN = 2**16
 
     def __init__(self, config: TSTConfig, seed: int = 0, dtype=np.float32):
@@ -236,13 +233,10 @@ def _one_blas_thread() -> bool:
 
 @functools.cache
 def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that runs every second shard, started once for the process: a
-    fresh thread per call cost 165-210 us against ~40-45 us on a 2-core host. Before it starts,
-    glibc is capped at one malloc arena (``mallopt(M_ARENA_MAX, 1)``; skipped where libc has
-    no ``mallopt``), as the worker would otherwise allocate from an arena of its own. Without
-    the cap, over six alternating pairs of 30 s benchmark runs on that host, stock_train
-    peaked 0.6-2.0% higher (median 916 against 900 MB) and stock_infer 1.0-6.7% higher (614
-    against 585 MB), in every pair."""
+    """The one worker thread that runs every second shard, started once for the process.
+    Before it starts, glibc is capped at one malloc arena (``mallopt(M_ARENA_MAX, 1)``;
+    skipped where libc has no ``mallopt``), so the worker allocates from the main arena
+    rather than one of its own, which raised both stock workloads' peak RSS."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

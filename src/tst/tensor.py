@@ -13,13 +13,11 @@ tensor in ``wrt``; it writes no tensor.
 A node keeps only what its pullback reads. It holds no tensor: each
 pullback binds the arrays, shapes and flags its formula uses (a matmul
 keeps its operands, an add only their shapes, ``gelu`` its derivative).
-The fused ops recompute instead: ``self_attention`` keeps each softmax
-row's max and sum, not the probabilities; ``feed_forward`` its norm's xhat
-and row statistic, no MLP-width activation. An intermediate value no
-pullback reads is freed as soon as the forward drops its tensor.
-``Tensor._vjp`` reads and replaces the node's pullback: ``backward()``
-reads it to tell a leaf from an op result, and the benchmark's span tracer
-wraps pullbacks through it.
+The fused block halves, ``self_attention`` and ``feed_forward``, keep their
+norm's xhat and row statistic, not its output, and recompute the attention
+probabilities and MLP activations. ``Tensor._vjp`` reads and replaces
+the node's pullback: ``backward()`` tells a leaf from an op result by it,
+and the benchmark's span tracer wraps pullbacks through it.
 
 A graph can be backpropagated once. Backward releases it as it goes: each
 interior node drops its parents and its pullback (and with them every
@@ -30,9 +28,8 @@ second gradient.
 Values default to float32; pass float64 arrays (or ``dtype=np.float64``)
 when finite-difference tolerances demand it. The package needs numpy only:
 ``gelu`` takes erf from a rational kernel in float32 and from ``math.erf``,
-exactly, in float64. Tensors are treated as
-immutable once created; only an optimizer may rewrite a leaf's ``data``
-between forward passes.
+exactly, in float64. Tensors are treated as immutable once created; only an
+optimizer may rewrite a leaf's ``data`` between forward passes.
 """
 
 from __future__ import annotations
@@ -65,11 +62,9 @@ _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
 # elements per pass of the float32 kernel, and of MLP width per feed_forward row block: its
 # three 256 KiB buffers stay in cache, ~3x faster than whole-array passes on stock activations
 _GELU_CHUNK = 2**16
-# score elements per attention block: a 1 MiB float32 tile, half a 2 MiB
-# per-core L2, so the softmax passes over it do not stream from memory, and the
-# pullback's two tiles (probabilities and score adjoints) fit L2 together. An eval
-# block's working set also holds its row block's q, k and v projections: 1.2 MB for
-# one stock row (257 x 3 x 384 float32), where one row's scores already fill a block
+# score, key and value elements per attention row block (score elements per head block):
+# at most a 1 MiB float32 tile, half a 2 MiB per-core L2, so the softmax passes run in
+# cache and the pullback's probability and score-adjoint tiles fit L2 together
 _ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -391,67 +386,70 @@ def _tile(buffer: np.ndarray, r: slice, h: slice, m: int, n: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention as one recorded op.
+def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
+                   queries: int | None = None) -> Tensor:
+    """A pre-norm block's attention half, attention(layer_norm(x)) @ w_o, as one op.
 
-    ``x`` (B, n, dim) is projected by the three (dim, heads*d_k) matrices,
-    each head attends with softmax(q k^T / sqrt(d_k)) v, and the heads'
-    contexts come out side by side, (B, m, heads*d_k). Keys and values come
-    from all n rows; queries only from the leading m = ``queries`` rows (all
-    of them by default), so the output has one row per query.
+    ``x`` (B, n, dim) is normalized as ``layer_norm`` does, projected by the three (dim,
+    heads*d_k) matrices; each head attends with softmax(q k^T / sqrt(d_k)) v, and the heads'
+    contexts, side by side, map through ``w_o`` (heads*d_k, dim_out). Keys and values come
+    from all n rows, queries from the leading m = ``queries`` (default n): (B, m, dim_out).
 
-    The B rows run in near-equal blocks (a row whose (heads, m, n) scores
-    alone exceed ``_ATTN_BLOCK`` elements, in near-equal blocks of heads)
-    through one reused score tile, so the softmax passes run in cache and
-    the full probabilities are never built. Each row block's key/value and
-    query GEMMs run inside the loop, into its rows of whole-batch q, k and v
-    when a node is recorded, else into one row block's buffer, so an eval
-    forward never holds the batch's projections. The same GEMMs run on the
-    same operands either way, so the output is bit for bit the same.
+    The B rows run in near-equal blocks sized by ``_ATTN_BLOCK`` (a row's heads, too, where
+    its scores alone exceed it) through one reused score tile. Each row block's norm,
+    projections and ``w_o`` GEMM run in the loop, into whole-batch arrays when a node is
+    recorded, else into one row block's buffers: an eval forward holds no whole-batch
+    normed rows, projections or context.
 
-    A recorded node keeps x, the concatenated weights, the scaled q, k, v,
-    the output, and each softmax row's max and sum, (B, heads, m, 1) each.
-    Its pullback rebuilds each block's probabilities from those statistics
-    by the forward's ops, bit for bit, then writes the softmax, matmul and
-    projection adjoints by hand, with a zero query adjoint for rows past m.
+    A recorded node keeps xhat, each row's 1/sqrt(var + eps), the concatenated weights,
+    ``w_o``, the scaled q, k, v, the context and each softmax row's max and sum. Its pullback
+    applies ``w_o``'s adjoints as ``matmul`` does, rebuilds each block's probabilities by the
+    forward's ops, and recomputes the norm output for the projections' weight adjoint, so
+    every output and gradient is bit for bit the composed ops'. Rows past m get no query.
     """
-    x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
+    inputs = tuple(as_tensor(t) for t in (x, ln_gain, ln_bias, w_q, w_k, w_v, w_o))
+    x, gain, bias, w_q, w_k, w_v, w_o = (t.data for t in inputs)
     if x.ndim != 3:
         raise ShapeError(f"self_attention needs a (B, n, dim) input, got {x.shape}")
-    b, n, dim = x.shape
+    (b, n, dim), width = x.shape, w_q.shape[-1]
     m = n if queries is None else queries
     if not 1 <= m <= n:
         raise ShapeError(f"self_attention queries must be in [1, {n}], got {queries}")
-    width = w_q.shape[-1]
-    if any(w.shape != (dim, width) for w in (w_q, w_k, w_v)):
-        raise ShapeError(f"projections {w_q.shape}/{w_k.shape}/{w_v.shape} do not all map "
-                         f"input depth {dim} to one width")
+    shapes = tuple(t.shape for t in (gain, bias, w_q, w_k, w_v)) + (w_o.shape[:1], w_o.ndim)
+    if shapes != ((dim,), (dim,)) + ((dim, width),) * 3 + ((width,), 2):
+        raise ShapeError(f"self_attention shapes {x.shape}, {shapes[:5]}, {w_o.shape} don't chain")
     if heads < 1 or width % heads:
         raise ShapeError(f"projection width {width} does not split into {heads} heads")
     d_k = width // heads
-    w = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)    # (dim, 3*width)
-    rows = max(1, _ATTN_BLOCK // (heads * m * n))
-    head_rows = max(1, _ATTN_BLOCK // (m * n))   # < heads only when one row's scores exceed a block
-    row_blocks, head_blocks = _even_slices(b, rows), _even_slices(heads, head_rows)
+    w = np.concatenate([w_q, w_k, w_v], axis=1)    # (dim, 3*width)
+    # one-query blocks of 2+ rows: BLAS rounds a one-row query GEMM apart from taller ones
+    most = max(3 if m == 1 else 1, _ATTN_BLOCK // (heads * m * n + 2 * n * width))
+    row_blocks = _even_slices(b, most)
+    head_blocks = _even_slices(heads, max(1, _ATTN_BLOCK // (m * n)))   # for wide rows only
     blocks = [(r, h) for r in row_blocks for h in head_blocks]
     tile_size = max((r.stop - r.start) * (h.stop - h.start) for r, h in blocks) * m * n
-    dtype = np.result_type(x.data, w)
+    dtype = np.result_type(x, gain, bias, w, w_o)
     buffer = np.empty(tile_size, dtype=dtype)
-    # rows of projections held at once: every row for a recorded node's pullback, else one
-    # row block's, overwritten by the next row block
-    held = b if _records(x, w_q, w_k, w_v) else max(r.stop - r.start for r in row_blocks)
+    needed = tuple(t.requires_grad for t in inputs)
+    # rows of xhat, projections and context held: all for the pullback, else one row block's,
+    # whose norm then runs in place where the dtypes agree
+    rows, records = max(r.stop - r.start for r in row_blocks), _records(*inputs)
+    held = b if records else rows
+    xhat, inv = np.empty((held, n, dim), dtype=x.dtype), np.empty((held, n, 1), dtype=x.dtype)
+    normed = xhat if not records and dtype == x.dtype else np.empty((rows, n, dim), dtype)
     kv = np.empty((held, n, 2, heads, d_k), dtype=dtype)
-    q = np.empty((held, m, heads, d_k), dtype=dtype)
+    q, context = np.empty((2, held, m, heads, d_k), dtype=dtype)
     scale = dtype.type(1.0 / math.sqrt(d_k))
-    row_max = np.empty((b, heads, m, 1), dtype=dtype)
-    row_sum = np.empty((b, heads, m, 1), dtype=dtype)
-    out = np.empty((b, m, heads, d_k), dtype=dtype)
-    ctx = out.transpose(0, 2, 1, 3)
+    row_max, row_sum = np.empty((2, b, heads, m, 1), dtype=dtype)
+    out = np.empty((b, m, w_o.shape[1]), dtype=dtype)
     for r in row_blocks:
         at = r if held == b else slice(0, r.stop - r.start)
-        kv_r, q_r = kv[at], q[at]
-        np.matmul(x.data[r].reshape(-1, dim), w[:, width:], out=kv_r.reshape(-1, 2 * width))
-        np.matmul(x.data[r, :m].reshape(-1, dim), w[:, :width], out=q_r.reshape(-1, width))
+        inv[at] = _ln_forward(x[r], xhat[at])[1]
+        h_r = np.multiply(xhat[at], gain, out=normed[:r.stop - r.start])
+        h_r += bias                # layer_norm's xhat * gain + bias
+        kv_r, q_r, ctx = kv[at], q[at], context[at].transpose(0, 2, 1, 3)
+        np.matmul(h_r.reshape(-1, dim), w[:, width:], out=kv_r.reshape(-1, 2 * width))
+        np.matmul(h_r[:, :m].reshape(-1, dim), w[:, :width], out=q_r.reshape(-1, width))
         q_r *= scale               # scale q rather than the much larger scores
         k_r, v_r = kv_r.transpose(2, 0, 3, 1, 4)   # (rows, heads, n, d_k)
         q_r = q_r.transpose(0, 2, 1, 3)
@@ -462,42 +460,51 @@ def self_attention(x, w_q, w_k, w_v, heads: int, queries: int | None = None) -> 
             np.exp(p, out=p)
             row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
             p /= row_sum[r, h]
-            np.matmul(p, v_r[:, h], out=ctx[r, h])
+            np.matmul(p, v_r[:, h], out=ctx[:, h])
+        np.matmul(context[at].reshape(-1, m, width), w_o, out=out[r])
     k, v = kv.transpose(2, 0, 3, 1, 4)   # what the pullback reads: every row, when recorded
     q = q.transpose(0, 2, 1, 3)
-    out = out.reshape(b, m, width)
-    x_data, x_grad = x.data, x.requires_grad
+    context = context.reshape(held, m, width)
 
     def vjp(g):
-        g_ctx = g.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
+        nonlocal q, k, v, context   # freed before the norm's pullback, as separate nodes were
+        g_attn = np.matmul(g, w_o.T)   # w_o's adjoints, as matmul's pullback writes them
+        gw_o = _unbroadcast(np.matmul(np.swapaxes(context, -1, -2), g), w_o.shape)
+        g_ctx = g_attn.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
         d_qkv = np.empty((b, n, 3, heads, d_k), dtype=g.dtype)
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
         dq[:, :, m:] = 0.0         # rows past m asked no query
         dq = dq[:, :, :m]
         # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
         # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
-        inner = np.sum((g * out).reshape(b, m, heads, d_k), axis=-1).transpose(0, 2, 1)[..., None]
-        p_buffer, d_buffer = np.empty((2, tile_size), dtype=g.dtype)
+        inner = np.sum((g_attn * context).reshape(b, m, heads, d_k),
+                       axis=-1).transpose(0, 2, 1)[..., None]
+        tiles = np.empty((2, tile_size), dtype=g.dtype)   # probabilities, score adjoints
         for r, h in blocks:
             # the forward's probabilities again: the same scores, shift and scale
-            p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(p_buffer, r, h, m, n))
+            p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(tiles[0], r, h, m, n))
             p -= row_max[r, h]
             np.exp(p, out=p)
             p /= row_sum[r, h]
             np.matmul(p.swapaxes(-1, -2), g_ctx[r, h], out=dv[r, h])
             d_scores = np.matmul(g_ctx[r, h], v[r, h].swapaxes(-1, -2),
-                                 out=_tile(d_buffer, r, h, m, n))
+                                 out=_tile(tiles[1], r, h, m, n))
             d_scores -= inner[r, h]   # d probs, then in place d scores
             d_scores *= p
             np.matmul(d_scores, k[r, h], out=dq[r, h])
             np.matmul(d_scores.swapaxes(-1, -2), q[r, h], out=dk[r, h])
         dq *= scale
         d_qkv = d_qkv.reshape(b * n, 3 * width)
-        gx = np.matmul(d_qkv, w.T).reshape(b, n, dim) if x_grad else None
-        gw = np.matmul(x_data.reshape(b * n, dim).T, d_qkv)
-        return gx, gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:]
+        h = np.multiply(xhat, gain).reshape(b * n, dim)   # the norm output again, for
+        h += bias.reshape(1, dim)                        # the projections' adjoint
+        gw = np.matmul(h.T, d_qkv)
+        gh = np.matmul(d_qkv, w.T, out=h).reshape(b, n, dim)
+        q = k = v = context = g_attn = g_ctx = d_qkv = dq = dk = dv = p = d_scores = tiles = None
+        grads = _ln_pullback(gh, gain, xhat, inv) if any(needed[:3]) else (None,) * 3
+        grads += (gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:], gw_o)
+        return tuple(grad if need else None for grad, need in zip(grads, needed))
 
-    return _result(out, (x, w_q, w_k, w_v), vjp)
+    return _result(out, inputs, vjp)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

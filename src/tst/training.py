@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import DatasetSplit, windows_to_arrays
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, DataError, TrainingAbort
 from .model import TSTConfig, TSTModel, _run_pair, cross_entropy_from_logits
 from .tensor import Tensor, backward, no_grad
 
@@ -148,6 +148,10 @@ class StudyReport:
 def evaluate(model: TSTModel, x: np.ndarray, y: np.ndarray,
              batch_size: int) -> tuple[float, float]:
     """Mean loss and accuracy in eval mode (dropout off, no graph, no updates)."""
+    if batch_size < 1:
+        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
+    if not len(x):
+        raise DataError("evaluation needs at least one window")
     total_loss = 0.0
     correct = 0
     with no_grad():

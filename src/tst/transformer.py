@@ -18,13 +18,11 @@ Projections carry no bias terms; the MLP does. Attention heads are stored
 fused: w_q/w_k/w_v are (dim, heads*d_k) and w_o maps (heads*d_k) back to
 dim, so a block's dim and d_k are read off ``w_q.shape``.
 
-Each half of a block is one recorded op: ``tensor.self_attention`` (the
-three projections, per-head scaled dot products, softmax and head merge),
-followed by a separate ``w_o`` matmul, and ``tensor.feed_forward`` (the
-second norm, both MLP GEMMs and gelu). Neither node keeps a score-sized or
-MLP-width array, and their pullbacks recompute those bit for bit. Dropout
-and the residual adds stay outside both ops, so the dropout draws keep
-their order.
+Each half of a block is one recorded op: ``tensor.self_attention`` (ln1, the
+three projections, per-head attention and ``w_o``) and ``tensor.feed_forward``
+(ln2, both MLP GEMMs and gelu). Neither node keeps a score-sized or MLP-width
+array; their pullbacks recompute those bit for bit. Dropout and the residual
+adds stay outside both ops, so the dropout draws keep their order.
 """
 
 from __future__ import annotations
@@ -96,13 +94,13 @@ class TransformerStack:
 
 
 def multi_head(x: Tensor, params: BlockParams, *, class_only: bool = False) -> Tensor:
-    """Self-attention: the fused ``T.self_attention`` op, then ``w_o``.
-
-    (B, n, dim) -> (B, n, dim). With ``class_only`` only slot 0 queries,
-    still over keys and values from every row: (B, 1, dim) out.
+    """The attention half of a block over its input ``x``: ``T.self_attention``, which
+    applies ln1 and ``w_o`` too. (B, n, dim) -> (B, n, dim); with ``class_only`` only slot 0
+    queries, still over keys and values from every row: (B, 1, dim) out.
     """
-    return T.matmul(T.self_attention(x, params.w_q, params.w_k, params.w_v, params.heads,
-                                     queries=1 if class_only else None), params.w_o)
+    return T.self_attention(x, params.ln1_gain, params.ln1_bias, params.w_q, params.w_k,
+                            params.w_v, params.w_o, params.heads,
+                            queries=1 if class_only else None)
 
 
 def block_forward(
@@ -120,11 +118,8 @@ def block_forward(
     attends over every row of its input, and the residual, MLP and both
     dropouts run on that row alone, so the result is (B, 1, dim).
     """
-    attn = multi_head(T.layer_norm(x, params.ln1_gain, params.ln1_bias), params,
-                      class_only=class_only)
-    if class_only:
-        x = x[:, :1, :]
-    x = T.add(x, T.dropout(attn, p_drop, training, rng))
+    x = T.add(x[:, :1, :] if class_only else x,   # the attention output dies with the add
+              T.dropout(multi_head(x, params, class_only=class_only), p_drop, training, rng))
 
     h = T.feed_forward(x, params.ln2_gain, params.ln2_bias, params.w1, params.b1, params.w2,
                        params.b2)

@@ -35,10 +35,10 @@ def scaled_dot_product_attention(q, k, v, return_weights=False):
 
 
 def self_attention(x, w_q, w_k, w_v, heads, queries=None):
-    """``tensor.self_attention`` composed from primitives: per-projection
-    matmuls (queries from the leading ``queries`` rows, all by default),
-    heads split by reshape and transpose, the composed attention above, and
-    the heads merged back."""
+    """The attention inside ``tensor.self_attention``, composed from primitives:
+    per-projection matmuls (queries from the leading ``queries`` rows, all by
+    default), heads split by reshape and transpose, the composed attention
+    above, and the heads merged back."""
     x = T.as_tensor(x)
     b, n, _ = x.shape
     m = n if queries is None else queries
@@ -51,6 +51,13 @@ def self_attention(x, w_q, w_k, w_v, heads, queries=None):
     ctx = scaled_dot_product_attention(split_heads(x[:, :m, :], w_q), split_heads(x, w_k),
                                        split_heads(x, w_v))
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, m, width))
+
+
+def attention_half(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads, queries=None):
+    """``tensor.self_attention`` composed from primitives: a block's attention half as
+    layer norm, the composed attention above and the ``w_o`` matmul, each its own node."""
+    h = T.layer_norm(x, ln_gain, ln_bias)
+    return T.matmul(self_attention(h, w_q, w_k, w_v, heads, queries=queries), w_o)
 
 
 def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2):

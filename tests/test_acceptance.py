@@ -98,6 +98,11 @@ def test_criterion_3_gradient_correctness(rng):
             lambda t: T.layer_norm(t[0], t[1], t[2]),
             [rng.normal(size=(3, 6)), rng.normal(size=6), rng.normal(size=6)]),
         "gelu": op_grad_check(lambda t: T.gelu(t[0]), [rng.normal(size=9)]),
+        "self_attention": op_grad_check(
+            lambda t: T.self_attention(*t, 2),
+            [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=4),
+             rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
+             rng.normal(size=(6, 4))]),
         "feed_forward": op_grad_check(
             lambda t: T.feed_forward(*t),
             [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=4),

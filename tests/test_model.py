@@ -139,7 +139,8 @@ def _bound_values(fn):
 
 
 def test_training_forward_pullbacks_hold_no_tensor(rng):
-    model = tiny_model(p_drop=0.1, depth=2)
+    # depth 3: with each block half one node, depth 2 records only 27 pullbacks
+    model = tiny_model(p_drop=0.1, depth=3)
     x = rng.normal(size=(3, model.config.L))
     result = model.forward(x, training=True, rng=np.random.default_rng(0))
     loss = cross_entropy_from_logits(result.logits, [1, 2, 3])
@@ -227,18 +228,18 @@ def test_eval_forward_never_holds_whole_shard_projections(rng):
 
 def test_training_forward_retains_no_mlp_activations(rng):
     # What a batch-8 stock training forward leaves recorded, per token of each block: two
-    # layer norms' xhat and row statistic, attention's input, q, k, v and output, and each
-    # softmax row's max and sum (2 * (dim + 1) + dim + 4 * heads * d_k + 2 * heads floats),
+    # layer norms' xhat and row statistic, attention's q, k, v and context, and each
+    # softmax row's max and sum (2 * (dim + 1) + 4 * heads * d_k + 2 * heads floats),
     # plus two one-byte dropout masks a dim wide; and once per block and shard, the fused
     # (dim, 3 * heads * d_k) projection weights attention concatenates. Counting the
     # class-only last block as a full one leaves ~1 MB a window for the tokenizer and head.
-    # That is 105.7 MB at stock shapes; keeping the MLP's norm output, gelu output and gelu
+    # That is 99.4 MB at stock shapes; keeping the MLP's norm output, gelu output and gelu
     # derivative (640 more floats a token and block) retains ~124 MB.
     cfg = TSTConfig()
     model = TSTModel(cfg, seed=0)
     x = rng.normal(size=(8, cfg.L)).astype(np.float32)
     width = cfg.heads * cfg.d_k
-    floats = 2 * (cfg.dim + 1) + cfg.dim + 4 * width + 2 * cfg.heads
+    floats = 2 * (cfg.dim + 1) + 4 * width + 2 * cfg.heads
     per_block = (cfg.ns + 1) * (4 * floats + 2 * cfg.dim)
     bound = cfg.depth * (8 * per_block + 2 * cfg.dim * 3 * width * 4)
     tracemalloc.start()

@@ -230,6 +230,20 @@ def test_evaluation_never_mutates_parameters():
     assert param_digest(model) == before
 
 
+def test_evaluate_of_no_windows_is_a_data_error():
+    model = TSTModel(TWO_CLASS_CFG, seed=3)
+    with pytest.raises(DataError, match="at least one window"):
+        evaluate(model, np.zeros((0, TWO_CLASS_CFG.L), np.float32), np.zeros(0, int), 4)
+
+
+def test_evaluate_batch_size_below_one_is_a_config_error():
+    model = TSTModel(TWO_CLASS_CFG, seed=3)
+    x, y = np.zeros((2, TWO_CLASS_CFG.L), np.float32), np.zeros(2, int)
+    for batch_size in (0, -1):   # 0 stepped range() by zero; -1 ran no batch and returned 0
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            evaluate(model, x, y, batch_size)
+
+
 def test_second_step_does_not_hold_the_first_steps_graph():
     """Backward releases each step's graph, so two steps peak about as high
     as one; holding the first graph through the second forward nearly

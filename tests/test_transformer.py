@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import call_bounded, op_grad_check
-from oracles import feed_forward, scaled_dot_product_attention, self_attention
+from oracles import attention_half, feed_forward, scaled_dot_product_attention
 from oracles import stack_forward as all_rows_stack_forward
 from tst import model as tstmodel
 from tst import tensor as T
@@ -64,8 +64,9 @@ def test_multi_head_degenerate_fusion_reduces_to_attention(rng):
     eye = Tensor(np.eye(dim))
     params.w_q = params.w_k = params.w_v = params.w_o = eye
     x = rng.normal(size=(2, 5, dim))
-    out = tf.multi_head(Tensor(x), params)
-    direct = scaled_dot_product_attention(Tensor(x), Tensor(x), Tensor(x))
+    out = tf.multi_head(Tensor(x), params)   # attends over the block input's ln1
+    normed = T.layer_norm(Tensor(x), params.ln1_gain, params.ln1_bias)
+    direct = scaled_dot_product_attention(normed, normed, normed)
     np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
 
@@ -81,8 +82,9 @@ def test_multi_head_equals_manual_two_heads(rng):
     params = make_block(dim=dim, heads=heads, d_k=d_k, seed=5)
     x = rng.normal(size=(2, 4, dim))
     out = tf.multi_head(Tensor(x), params).data
+    x = T.layer_norm(Tensor(x), params.ln1_gain, params.ln1_bias).data
 
-    # two independent single-head runs, concatenated then projected
+    # over ln1's output, two independent single-head runs, concatenated then projected
     concat = np.zeros((2, 4, heads * d_k))
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
@@ -94,18 +96,23 @@ def test_multi_head_equals_manual_two_heads(rng):
     np.testing.assert_allclose(out, concat @ params.w_o.data, atol=1e-10)
 
 
-def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3):
-    """float64 input and projections; n, dim and d_k all differ."""
+def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3, dim_out=2):
+    """float64 input, ln1 gain and bias, projections and ``w_o``; n, dim, d_k and dim_out
+    all differ."""
     width = heads * d_k
-    return [rng.normal(size=(b, n, dim))] + [rng.normal(size=(dim, width)) for _ in range(3)]
+    return ([rng.normal(size=(b, n, dim)), rng.normal(size=dim), rng.normal(size=dim)]
+            + [rng.normal(size=(dim, width)) for _ in range(3)]
+            + [rng.normal(size=(width, dim_out))])
 
 
-def _blocks_of_two(monkeypatch, heads, n, queries, split="rows"):
-    """Shrink the score block to two rows, so a batch of five rows runs as blocks of 1, 2
-    and 2 rows; or, with ``split="heads"``, to two heads of one row, so each row's 3 heads
-    run as blocks of 1 and 2."""
-    per_head = (queries or n) * n
-    monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * per_head * (heads if split == "rows" else 1))
+def _blocks_of_two(monkeypatch, heads, n, queries, width, split="rows"):
+    """Shrink the attention block to two rows' scores, keys and values, so a batch of five
+    rows runs as blocks of 1, 2 and 2 rows (one-query rows, at least two a block: 2 and 3);
+    or, with ``split="heads"``, to two heads' scores, so each row's 3 heads run as blocks of
+    1 and 2."""
+    m = queries or n
+    per_row = heads * m * n + 2 * n * width if split == "rows" else m * n
+    monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * per_row)
 
 
 # queries=None: every row queries; "query1": only slot 0 does, as in the last block;
@@ -118,38 +125,75 @@ def _blocks_of_two(monkeypatch, heads, n, queries, split="rows"):
 def test_self_attention_gradients_match_finite_differences(rng, monkeypatch, heads, queries,
                                                            blocks):
     if blocks:
-        _blocks_of_two(monkeypatch, heads, n=5, queries=queries, split=blocks)
+        _blocks_of_two(monkeypatch, heads, n=5, queries=queries, width=3 * heads, split=blocks)
     arrays = _attention_inputs(rng, heads, b=5 if blocks else 2)
     err = op_grad_check(lambda t: T.self_attention(*t, heads, queries=queries), arrays)
     assert err < 1e-4, f"heads={heads}: worst relative error {err:.2e}"
 
 
-@pytest.mark.parametrize("heads, queries", [(1, None), (2, None), (4, None), (2, 1)],
-                         ids=["1", "2", "4", "2-query1"])
-def test_self_attention_matches_composed_oracle(rng, heads, queries):
-    arrays = _attention_inputs(rng, heads, n=7, dim=6, d_k=5)
-    weighting = Tensor(rng.normal(size=(2, queries or 7, heads * 5)))
+# float64 for heads 1, 2, 4 and a one-query op, then at 3 heads: "rows", five rows in
+# attention row blocks of 1, 2 and 2 (2 and 3 for one-query rows); "heads", each row's 3
+# heads in blocks of 1 and 2; "query1", only slot 0 queries, as in the last block; "empty",
+# B = 0. The same at 3 heads in float32.
+_ORACLE_CASES = [(3, None, 5, None), (3, None, 5, "rows"), (3, None, 5, "heads"),
+                 (3, 1, 5, None), (3, 1, 5, "rows"), (3, None, 0, None)]
+_ORACLE_IDS = ["3", "3-rows", "3-heads", "3-query1", "3-query1-rows", "3-empty"]
+
+
+@pytest.mark.parametrize(
+    "heads, queries, b, split, dtype",
+    [(1, None, 2, None, np.float64), (2, None, 2, None, np.float64),
+     (4, None, 2, None, np.float64), (2, 1, 2, None, np.float64)]
+    + [case + (np.float64,) for case in _ORACLE_CASES[1:]]
+    + [case + (np.float32,) for case in _ORACLE_CASES],
+    ids=["1", "2", "4", "2-query1"] + _ORACLE_IDS[1:] + ["f32-" + i for i in _ORACLE_IDS])
+def test_self_attention_matches_composed_oracle(rng, monkeypatch, heads, queries, b, split,
+                                                dtype):
+    # Against layer_norm, the composed attention and matmul: float64 agrees to 1e-12. In
+    # float32 the output is theirs bit for bit where every row queries, as the same GEMMs,
+    # shift and scale run; the one-query oracle projects one row at a time, which BLAS
+    # rounds apart. The gradients agree to float32 precision only: the fused pullback takes
+    # the softmax row sums from the context and each projection adjoint from one GEMM.
+    n, d_k, dim_out = 7, 5, 4
+    arrays = [a.astype(dtype) for a in _attention_inputs(rng, heads, b, n, 6, d_k, dim_out)]
+    weighting = Tensor(rng.normal(size=(b, queries or n, dim_out)).astype(dtype))
+    if split:
+        _blocks_of_two(monkeypatch, heads, n, queries, heads * d_k, split)
     results = []
-    for attend in (T.self_attention, self_attention):
+    for op in (T.self_attention, attention_half):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        out = attend(*inputs, heads, queries=queries)
+        out = op(*inputs, heads, queries=queries)
         grads = backward(T.tsum(T.mul(out, weighting)), inputs)
-        results.append([out.data] + grads)
-    for fused, composed in zip(*results):
-        np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+        with T.no_grad():
+            unrecorded = op(*arrays, heads, queries=queries)
+        results.append([out.data, unrecorded.data] + grads)
+    fused, composed = results
+    assert len(fused) == 9 and np.array_equal(fused[0], fused[1])
+    for got, want in zip(fused, composed):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.max(np.abs(got - want), initial=0) <= 5e-5 * np.max(np.abs(want),
+                                                                          initial=1)
+    if dtype == np.float32 and queries is None:
+        assert np.array_equal(fused[0], composed[0]) and np.array_equal(fused[1], composed[1])
 
 
 def test_self_attention_rejects_mismatched_shapes(rng):
-    x, w_q, w_k, w_v = (Tensor(a) for a in _attention_inputs(rng, heads=2))
+    arrays = _attention_inputs(rng, heads=2)   # dim 4, width 6
     with pytest.raises(ShapeError):
-        T.self_attention(x, w_q, w_k, Tensor(np.zeros((4, 5))), heads=2)
+        T.self_attention(*arrays, heads=4)   # width 6 does not split into 4
     with pytest.raises(ShapeError):
-        T.self_attention(x, w_q, w_k, w_v, heads=4)   # width 6 does not split into 4
-    with pytest.raises(ShapeError):
-        T.self_attention(Tensor(np.zeros((5, 4))), w_q, w_k, w_v, heads=2)
+        T.self_attention(arrays[0][0], *arrays[1:], heads=2)   # no batch axis
     for queries in (0, 6):   # the input has 5 rows
         with pytest.raises(ShapeError):
-            T.self_attention(x, w_q, w_k, w_v, heads=2, queries=queries)
+            T.self_attention(*arrays, heads=2, queries=queries)
+    for i, wrong in [(1, (5,)), (2, (4, 1)), (5, (4, 5)), (6, (5, 2)), (6, (6,))]:
+        bad = list(arrays)
+        bad[i] = np.zeros(wrong)
+        with pytest.raises(ShapeError):
+            T.self_attention(*bad, heads=2)
 
 
 @pytest.mark.parametrize("queries, split", [(None, "rows"), (1, "rows"), (None, "heads"),
@@ -159,7 +203,7 @@ def test_self_attention_rejects_mismatched_shapes(rng):
 def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph, split):
     heads, n = 3, 7
     arrays = [a.astype(np.float32) for a in _attention_inputs(rng, heads, b=5, n=n, dim=6)]
-    weighting = Tensor(rng.normal(size=(5, queries or n, heads * 3)).astype(np.float32))
+    weighting = Tensor(rng.normal(size=(5, queries or n, 2)).astype(np.float32))
 
     def attend():
         inputs = [Tensor(a, requires_grad=graph) for a in arrays]
@@ -169,17 +213,24 @@ def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, gr
         return [out.data] + grads
 
     whole = attend()                 # one block holds all 5 rows
-    _blocks_of_two(monkeypatch, heads, n, queries, split)
-    blocked = attend()               # blocks of 1, 2 and 2 rows, or of 1 and 2 heads
-    assert len(blocked) == 1 + 4 * graph
+    _blocks_of_two(monkeypatch, heads, n, queries, 3 * heads, split)
+    blocked = attend()               # blocks of 1, 2 and 2 rows (2 and 3), or of 1 and 2 heads
+    assert len(blocked) == 1 + 7 * graph
     for one, many in zip(whole, blocked):
         assert np.array_equal(one, many)
 
 
+def _f32_attention_inputs(rng, b, n, dim, width, requires_grad=False):
+    """float32 attention-half inputs: (b, n, dim) rows, ln1 gain and bias, three (dim, width)
+    projections and a (width, dim) ``w_o``."""
+    shapes = [(b, n, dim), (dim,), (dim,)] + [(dim, width)] * 3 + [(width, dim)]
+    return [Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=requires_grad)
+            for shape in shapes]
+
+
 def test_eval_attention_never_holds_the_full_probabilities(rng):
     b, n, heads, dim = 32, 129, 4, 8
-    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32))]
-    inputs += [Tensor(rng.normal(size=(dim, dim)).astype(np.float32)) for _ in range(3)]
+    inputs = _f32_attention_inputs(rng, b, n, dim, dim)
     full_probs = b * heads * n * n * 4            # 8.5 MB of float32
     with T.no_grad():
         out = call_bounded(lambda: T.self_attention(*inputs, heads), full_probs)
@@ -189,22 +240,21 @@ def test_eval_attention_never_holds_the_full_probabilities(rng):
 def test_eval_attention_never_holds_whole_batch_projections(rng):
     b, n, heads, dim, d_k = 256, 33, 4, 32, 24    # projection width 96 = 3 * dim
     assert T._ATTN_BLOCK < b * heads * n * n      # so the rows run as several row blocks
-    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32))]
-    inputs += [Tensor(rng.normal(size=(dim, heads * d_k)).astype(np.float32)) for _ in range(3)]
+    inputs = _f32_attention_inputs(rng, b, n, dim, heads * d_k)
     projections = 3 * b * n * heads * d_k * 4    # whole-batch q, k and v: 9.7 MB of float32
     with T.no_grad():
         out = call_bounded(lambda: T.self_attention(*inputs, heads), projections)
-    assert out.shape == (b, n, heads * d_k)
+    assert out.shape == (b, n, dim)
 
 
 @pytest.mark.parametrize("queries", [None, 1], ids=["all-rows", "query1"])
 def test_self_attention_of_an_empty_batch_is_empty(rng, queries):
     arrays = _attention_inputs(rng, heads=2, b=0)
     with T.no_grad():
-        assert T.self_attention(*arrays, 2, queries=queries).shape == (0, queries or 5, 6)
+        assert T.self_attention(*arrays, 2, queries=queries).shape == (0, queries or 5, 2)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = T.self_attention(*inputs, 2, queries=queries)
-    assert out.shape == (0, queries or 5, 6)
+    assert out.shape == (0, queries or 5, 2)
     grads = backward(T.tsum(out), inputs)
     assert [g.shape for g in grads] == [a.shape for a in arrays]
     assert not any(g.any() for g in grads)
@@ -212,9 +262,7 @@ def test_self_attention_of_an_empty_batch_is_empty(rng, queries):
 
 def test_recorded_attention_never_holds_the_full_probabilities(rng):
     b, n, heads, dim = 32, 129, 4, 8
-    inputs = [Tensor(rng.normal(size=(b, n, dim)).astype(np.float32), requires_grad=True)]
-    inputs += [Tensor(rng.normal(size=(dim, dim)).astype(np.float32), requires_grad=True)
-               for _ in range(3)]
+    inputs = _f32_attention_inputs(rng, b, n, dim, dim, requires_grad=True)
     full_probs = b * heads * n * n * 4            # 8.5 MB of float32
     kept = []                                     # the recorded node outlives the forward
     out = call_bounded(lambda: kept.append(T.self_attention(*inputs, heads)), full_probs)
@@ -223,21 +271,70 @@ def test_recorded_attention_never_holds_the_full_probabilities(rng):
     assert [g.shape for g in grads] == [t.shape for t in inputs]
 
 
+def test_recorded_attention_keeps_xhat_not_the_norm_output(rng):
+    # What a recorded stock-shaped attention half allocates and keeps: xhat and each row's
+    # 1/sqrt(var + eps), q, k, v and the context (dim + 1 + 4 * width floats a token), each
+    # softmax row's max and sum (2 * heads), and the concatenated projections (3 * dim *
+    # width). Keeping ln1's output as well would add dim floats a token, 0.5 MB here.
+    cfg = TSTConfig()
+    b, n, width = 4, cfg.ns + 1, cfg.heads * cfg.d_k
+    inputs = _f32_attention_inputs(rng, b, n, cfg.dim, width, requires_grad=True)
+    kept = 4 * (b * n * (cfg.dim + 1 + 4 * width + 2 * cfg.heads) + 3 * cfg.dim * width)
+    tracemalloc.start()
+    try:
+        out = T.self_attention(*inputs, cfg.heads)
+        retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained < kept + 2**14 < kept + b * n * cfg.dim * 4, (retained, kept)
+    x = inputs[0].data
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    np.testing.assert_allclose(_kept(out._node._vjp, "xhat"), xhat, rtol=1e-4, atol=1e-5)
+    grads = backward(T.tsum(out), inputs)
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
+
+
+@pytest.mark.parametrize("class_only", [False, True], ids=["all-rows", "class-only"])
+def test_eval_block_never_holds_a_whole_shard_context_or_normed_input(rng, class_only):
+    # A no-grad stock block over 32 rows, whose (32, 257, 128) float32 activation is 4.2 MB
+    # and whose whole attention context (width 384) is three of them. Beside its input the
+    # block holds at most three activations at once (the residual sum, the MLP output and
+    # the block output) and one row block's attention working set: the concatenated
+    # projections (3 * dim * width), a row's xhat and normed row, its q, k, v and context,
+    # one _ATTN_BLOCK score tile, and the shard's softmax row max and sum. The MLP's buffers
+    # are smaller. That is 16.5 MB. Holding ln1's whole output, the whole context and the
+    # w_o product together (5 activations) peaks at 22 MB; a class-only block holding its
+    # shard's whole normed rows, k and v at 31 MB.
+    cfg = TSTConfig()
+    b, n, width = 32, cfg.ns + 1, cfg.heads * cfg.d_k
+    block = tf.BlockParams.init(cfg.dim, cfg.dim_mlp, cfg.heads, cfg.d_k,
+                                np.random.default_rng(0))
+    x = Tensor(rng.normal(size=(b, n, cfg.dim)).astype(np.float32))
+    activation = b * n * cfg.dim * 4
+    row_block = 4 * (3 * cfg.dim * width + 2 * n * cfg.dim + 4 * n * width + T._ATTN_BLOCK
+                     + 2 * b * cfg.heads * n)
+    with T.no_grad():
+        out = call_bounded(lambda: tf.block_forward(x, block, class_only=class_only),
+                           3 * activation + row_block + 2**16)
+    assert out.shape == (b, 1 if class_only else n, cfg.dim)
+
+
 @pytest.mark.parametrize("split", [None, "rows", "heads"], ids=["whole", "rows", "heads"])
 def test_attention_weights_sum_to_one_per_query(rng, monkeypatch, split):
-    # every key differs, but every value row is the same vector u: x's first three columns
-    # vary and feed only the keys and queries, its last three are one row c for all tokens
-    # and feed only the values. Each query's output is then u times its weights' sum.
+    # every key differs, but every value row is the same vector u: the normed rows' first
+    # three columns vary (gain 50) and feed only the keys and queries, their last three are
+    # one row c for all tokens (gain 0, bias c) and feed only the values. With the identity
+    # for w_o, each query's output is then u times its weights' sum.
     heads, b, n = 3, 5, 7
-    x = np.concatenate([rng.normal(size=(b, n, 3)) * 50, np.broadcast_to(rng.normal(size=3),
-                                                                         (b, n, 3))], axis=-1)
+    x = rng.normal(size=(b, n, 6))
+    gain, bias = np.array([50.0] * 3 + [0.0] * 3), np.r_[np.zeros(3), rng.normal(size=3)]
     w_q, w_k, w_v = (rng.normal(size=(6, heads * 2)) for _ in range(3))
     w_q[3:] = w_k[3:] = 0.0
     w_v[:3] = 0.0
-    u = x[0, 0] @ w_v
+    u = bias @ w_v
     if split:
-        _blocks_of_two(monkeypatch, heads, n, None, split)
-    out = T.self_attention(x, w_q, w_k, w_v, heads).data
+        _blocks_of_two(monkeypatch, heads, n, None, heads * 2, split)
+    out = T.self_attention(x, gain, bias, w_q, w_k, w_v, np.eye(heads * 2), heads).data
     np.testing.assert_allclose(out, np.broadcast_to(u, out.shape), rtol=1e-12, atol=1e-12)
 
 
@@ -499,5 +596,6 @@ def test_last_block_attention_keeps_one_query_row(rng):
         arrays = {name: cell.cell_contents
                   for name, cell in zip(vjp.__code__.co_freevars, vjp.__closure__)
                   if isinstance(cell.cell_contents, np.ndarray)}
-        assert set(arrays) == {"x_data", "w", "q", "k", "v", "out", "row_max", "row_sum"}
+        assert set(arrays) == {"xhat", "inv", "gain", "bias", "w", "w_o", "q", "k", "v",
+                               "context", "row_max", "row_sum"}
         assert all(a.size != b * heads * m * n for a in arrays.values())
