@@ -10,8 +10,6 @@ collapsed accuracy is higher.
 
 import time
 
-import numpy as np
-
 from tst import analysis, data
 from tst.model import TSTConfig, TSTModel
 from tst.training import train
@@ -40,8 +38,7 @@ for e in range(EPOCHS):
 
 print("\n== confusion matrix (rows = true, columns = predicted) ==")
 x, y = data.windows_to_arrays(split.test)
-pred = np.concatenate([model.predict(x[i:i + 64]) for i in range(0, len(x), 64)])
-matrix = analysis.confusion(y, pred, n_class=10)
+matrix = analysis.confusion(y, model.predict(x), n_class=10)
 names = ["NC", "IR1", "IR2", "IR3", "OR1", "OR2", "OR3", "RB1", "RB2", "RB3"]
 print("      " + " ".join(f"{n:>4}" for n in names))
 for i, row in enumerate(matrix):

@@ -27,7 +27,6 @@ import numpy as np
 from .data import windows_to_arrays
 from .errors import ConfigError, DataError
 from .model import TSTConfig, TSTModel
-from .tensor import no_grad
 
 # ---------------------------------------------------------------------------
 # analytic cost model
@@ -290,14 +289,10 @@ def collect_stage_features(model: TSTModel, windows) -> tuple[list[np.ndarray], 
     class tokens after each block, captured in eval mode."""
     x, y = windows_to_arrays(windows)
     stages: list[list[np.ndarray]] = [[] for _ in range(model.config.depth + 1)]
-    bs = model.config.batch_size
-    with no_grad():
-        for start in range(0, len(x), bs):
-            xb = x[start:start + bs]
-            result = model.forward(xb, training=False)
-            stages[0].append(xb.astype(np.float64))
-            for d, tok in enumerate(result.class_tokens, start=1):
-                stages[d].append(tok.data.astype(np.float64))
+    for rows, result in model.eval_batches(x, model.config.batch_size):
+        stages[0].append(x[rows].astype(np.float64))
+        for d, tok in enumerate(result.class_tokens, start=1):
+            stages[d].append(tok.data.astype(np.float64))
     return [np.concatenate(parts) for parts in stages], y
 
 

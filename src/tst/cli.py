@@ -76,7 +76,7 @@ def resolve_config(args: argparse.Namespace) -> TSTConfig:
     """Config file (if any) over defaults, then explicit flag overrides."""
     if getattr(args, "config", None):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:   # a byte-order mark too
                 values = json.load(fh)
         except OSError as exc:   # missing, a directory, or not readable
             raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from None
@@ -93,6 +93,16 @@ def resolve_config(args: argparse.Namespace) -> TSTConfig:
         "n_class": args.classes,
     }
     return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _add_split_flags(p: argparse.ArgumentParser):
+    """The flags ``train`` and ``study`` share. Each declares ``--data`` and its own flags
+    first, which keeps the order in which argparse names missing required flags."""
+    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
+    p.add_argument("--train-count", type=int, dest="train_count")
+    p.add_argument("--test-count", type=int, dest="test_count")
+    _add_override_flags(p)
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
@@ -139,16 +149,16 @@ def _require_at_least(args, low: int, *flags: str):
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    spec = data.default_synthetic_spec()
-    if not 1 <= args.classes <= len(spec.classes):
-        raise ConfigError(f"--classes must be in [1, {len(spec.classes)}], got {args.classes}")
+    classes = data.default_synthetic_spec()
+    if not 1 <= args.classes <= len(classes):
+        raise ConfigError(f"--classes must be in [1, {len(classes)}], got {args.classes}")
     _require_at_least(args, 1, "per_class", "length")
     samples = args.classes * args.per_class * args.length
     if samples > MAX_SYNTH_SAMPLES:   # before any window is built
         raise ConfigError(f"--classes x --per-class x --length must be <= "
                           f"{MAX_SYNTH_SAMPLES} samples, got {samples}")
-    spec = dataclasses.replace(spec, classes=spec.classes[:args.classes])
-    windows = data.generate_synthetic(spec, args.per_class, args.seed, length=args.length)
+    windows = data.generate_synthetic(classes[:args.classes], args.per_class, args.seed,
+                                      length=args.length)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.write_csv(windows, out,
                    comment=f"synthetic bearing windows: {args.classes} classes x "
@@ -169,9 +179,7 @@ def cmd_train(args) -> int:
     (out_dir / "trial_report.csv").write_text("\n".join(report.lines()) + "\n")
     save_checkpoint(model, out_dir / "model.tst")
     x_test, y_test = data.windows_to_arrays(split.test)
-    pred = np.concatenate([model.predict(x_test[i:i + cfg.batch_size])
-                           for i in range(0, len(x_test), cfg.batch_size)])
-    matrix = analysis.confusion(y_test, pred, n_class=cfg.n_class)
+    matrix = analysis.confusion(y_test, model.predict(x_test), n_class=cfg.n_class)
     np.savetxt(out_dir / "confusion.csv", matrix, fmt="%d", delimiter=",")
     write_manifest(out_dir, "train", args, config=cfg, inputs=[Path(args.data)])
     print(f"final test accuracy {report.final_test_acc:.4f} "
@@ -321,11 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{training.TRIAL_COLUMNS}, one row per epoch, followed by a summary record.")
     p.add_argument("--data", required=True, help="CSV dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
-    p.add_argument("--train-count", type=int, dest="train_count")
-    p.add_argument("--test-count", type=int, dest="test_count")
-    _add_override_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -337,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--base-seed", type=int, default=0, dest="base_seed")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--split-seed", type=int, default=0, dest="split_seed")
-    p.add_argument("--train-count", type=int, dest="train_count")
-    p.add_argument("--test-count", type=int, dest="test_count")
-    _add_override_flags(p)
+    _add_split_flags(p)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("cost", help="analytic FLOPs / parameter report")

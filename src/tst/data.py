@@ -55,9 +55,9 @@ def split_train_test(windows, n_train: int, n_test: int, seed: int) -> DatasetSp
 def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
     windows: list[LabeledWindow] = []
     try:
-        # bytes that are not UTF-8 decode to lone surrogates, which no label
-        # or sample parses, so such a row fails naming its line
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        # a leading byte-order mark is dropped; bytes that are not UTF-8 decode to
+        # lone surrogates, which no label or sample parses, so such a row fails naming its line
+        fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as exc:   # a directory, or a file this process may not read
@@ -104,6 +104,8 @@ def write_csv(windows, path, comment: str | None = None):
 # ---------------------------------------------------------------------------
 # synthetic impulse-train generator
 
+SAMPLE_RATE = 12_000.0   # Hz, the CWRU drive-end recordings' rate
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -115,41 +117,20 @@ class ClassSpec:
     noise_std: float
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    sample_rate: float = 12_000.0
-    classes: tuple[ClassSpec, ...] = ()
-
-    def __post_init__(self):   # runs on construction and dataclasses.replace alike
-        object.__setattr__(self, "classes", tuple(self.classes))   # a list may be passed
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
-        nyquist = self.sample_rate / 2
-        for i, c in enumerate(self.classes):
-            if not (0 < c.rep_hz < nyquist and 0 < c.res_hz < nyquist):
-                raise ConfigError(
-                    f"class {i}: frequencies must lie in (0, {nyquist}), got "
-                    f"rep={c.rep_hz}, res={c.res_hz}"
-                )
-            if c in self.classes[:i]:
-                raise ConfigError(f"class {i} duplicates another class's parameters")
-
-
-def default_synthetic_spec() -> SyntheticSpec:
+def default_synthetic_spec() -> tuple[ClassSpec, ...]:
     """Ten classes: normal condition plus inner-race / outer-race / ball
-    faults at three severities each. Modes differ by repetition frequency,
-    severities by impulse amplitude and decay."""
+    faults at three severities each, every frequency below ``SAMPLE_RATE / 2``.
+    Modes differ by repetition frequency, severities by impulse amplitude and decay."""
     classes = [ClassSpec(rep_hz=30.0, res_hz=500.0, decay=300.0, amplitude=0.0, noise_std=0.25)]
     for rep, res in ((162.0, 3500.0), (107.0, 2800.0), (141.0, 4200.0)):  # IR, OR, RB
         for amp, decay in ((1.2, 500.0), (2.5, 1200.0), (5.0, 2800.0)):   # mild..severe
             classes.append(ClassSpec(rep_hz=rep, res_hz=res, decay=decay,
                                      amplitude=amp, noise_std=0.25))
-    return SyntheticSpec(classes=classes)
+    return tuple(classes)
 
 
-def _impulse_train(spec: ClassSpec, n: int, sample_rate: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    t = np.arange(n, dtype=np.float64) / sample_rate
+def _impulse_train(spec: ClassSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
     out = np.zeros(n, dtype=np.float64)
     if spec.amplitude != 0.0:
         period = 1.0 / spec.rep_hz
@@ -170,14 +151,14 @@ def _impulse_train(spec: ClassSpec, n: int, sample_rate: float,
     return out.astype(np.float32)
 
 
-def generate_synthetic(spec: SyntheticSpec, n_per_class: int, seed: int,
+def generate_synthetic(classes, n_per_class: int, seed: int,
                        length: int) -> list[LabeledWindow]:
-    """Balanced labeled windows, bit-reproducible for a given seed."""
+    """Balanced labeled windows, label i drawn from ``classes[i]``, bit-reproducible per seed."""
     rng = np.random.default_rng(seed)
     windows = []
-    for label, cls in enumerate(spec.classes):
+    for label, cls in enumerate(classes):
         for _ in range(n_per_class):
-            samples = _impulse_train(cls, length, spec.sample_rate, rng)
+            samples = _impulse_train(cls, length, rng)
             windows.append(LabeledWindow(samples=samples, label=label))
     return windows
 

@@ -151,12 +151,9 @@ class TSTModel:
         rest, through ``_run_pair``, when the config's half batch reaches ``_HALF_MIN``
         activations, in training and in eval alike. Each shard records its own graph where
         grad mode is on, and draws its dropout from its own generator, spawned from ``rng``.
-        ``logits`` joins the shards' logits through a recorded concat, and ``shards`` keeps
-        them; a whole batch is its own one shard. On a 2-core host the first call sets
-        OpenBLAS to one thread for the rest of the process (``_one_blas_thread``)."""
-        x = T.as_tensor(x, dtype=self.dtype)
-        if x.ndim != 2 or x.shape[1] != self.config.L:
-            raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
+        ``shards`` keeps each shard's logits (``_joined``); a whole batch is its own one
+        shard. On a 2-core host the first call sets OpenBLAS to one thread for good."""
+        x = self._input(x)
         if not np.all(np.isfinite(x.data)):
             raise DataError("non-finite values in model input")
         if _CORES == 2:
@@ -169,6 +166,12 @@ class TSTModel:
         return _joined(*_run_pair(lambda: self._forward(Tensor(rows[:half]), training, first),
                                   lambda: self._forward(Tensor(rows[half:]), training, second)))
 
+    def _input(self, x) -> Tensor:
+        x = T.as_tensor(x, dtype=self.dtype)
+        if x.ndim != 2 or x.shape[1] != self.config.L:
+            raise ConfigError(f"input shape {x.shape} does not match (B, {self.config.L})")
+        return x
+
     def _forward(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> ForwardResult:
         tokens = tokenize(x, self.tokenizer, training=training,
@@ -178,10 +181,24 @@ class TSTModel:
         logits = T.add(T.matmul(feature, self.w_head), self.b_head)
         return ForwardResult(logits, class_tokens, (logits,))
 
+    def eval_batches(self, x, batch_size: int):
+        """``(rows, result)`` for each ``batch_size`` rows of ``x``, ``rows`` the slice that one
+        eval ``forward`` ran as ``result``; no rows make one empty batch. Only the forwards run
+        under ``no_grad``, so the caller's code between batches keeps the caller's grad mode."""
+        if batch_size < 1:
+            raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
+        x = self._input(x).data
+        for start in range(0, max(len(x), 1), batch_size):
+            rows = slice(start, start + batch_size)
+            with T.no_grad():
+                result = self.forward(x[rows], training=False)
+            yield rows, result
+
     def predict(self, x) -> np.ndarray:
-        """Row-wise argmax class index (ties resolve to the lowest index)."""
-        with T.no_grad():
-            return np.argmax(self.forward(x, training=False).logits.data, axis=1)
+        """Row-wise argmax class index (ties resolve to the lowest index), over the
+        ``eval_batches`` of the config's batch size that ``evaluate`` runs too."""
+        return np.concatenate([np.argmax(result.logits.data, axis=1)
+                               for _, result in self.eval_batches(x, self.config.batch_size)])
 
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -233,10 +250,9 @@ def _one_blas_thread() -> bool:
 
 @functools.cache
 def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that runs every second shard, started once for the process.
-    Before it starts, glibc is capped at one malloc arena (``mallopt(M_ARENA_MAX, 1)``;
-    skipped where libc has no ``mallopt``), so the worker allocates from the main arena
-    rather than one of its own, which raised both stock workloads' peak RSS."""
+    """The one worker thread that runs every second shard, started once for the process
+    after glibc is capped at one malloc arena, so that the worker allocates from the main
+    arena: an arena of its own raised both stock workloads' peak RSS."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

@@ -19,7 +19,7 @@ from . import tensor as T
 from .data import DatasetSplit, windows_to_arrays
 from .errors import ConfigError, DataError, TrainingAbort
 from .model import TSTConfig, TSTModel, _run_pair, cross_entropy_from_logits
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward
 
 
 ADAM_BETA1 = 0.9
@@ -147,20 +147,15 @@ class StudyReport:
 
 def evaluate(model: TSTModel, x: np.ndarray, y: np.ndarray,
              batch_size: int) -> tuple[float, float]:
-    """Mean loss and accuracy in eval mode (dropout off, no graph, no updates)."""
-    if batch_size < 1:
-        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
+    """Mean loss and accuracy over ``model.eval_batches`` (no dropout, graph or updates)."""
     if not len(x):
         raise DataError("evaluation needs at least one window")
     total_loss = 0.0
     correct = 0
-    with no_grad():
-        for start in range(0, len(x), batch_size):
-            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-            result = model.forward(xb, training=False)
-            loss = cross_entropy_from_logits(result.logits, yb)
-            total_loss += loss.item() * len(xb)
-            correct += int(np.sum(np.argmax(result.logits.data, axis=1) == yb))
+    for rows, result in model.eval_batches(x, batch_size):
+        yb = y[rows]
+        total_loss += cross_entropy_from_logits(result.logits, yb).item() * len(yb)
+        correct += int(np.sum(np.argmax(result.logits.data, axis=1) == yb))
     return total_loss / len(x), correct / len(x)
 
 
@@ -187,18 +182,13 @@ def _shard_gradients(losses: list[Tensor], params: list[Tensor]) -> list[np.ndar
 
 
 def train(model: TSTModel, split: DatasetSplit, config: TSTConfig, seed: int) -> TrialReport:
-    """Mini-batch Adam over ``config.epochs`` epochs with the step-decay
-    schedule; shuffles the full training set each epoch and keeps the last
-    partial batch. Test metrics are evaluated every epoch.
-
-    A batch that the forward runs as two row shards trains as two: each
-    shard's loss is weighted by its share of the rows, so the shard gradients,
-    summed in shard order, make the full batch's. The second shard's forward
-    and backward run on the worker thread when ``_worker_core_free()``. The
-    shards, their dropout generators and the order of the sum are fixed, so
-    the outputs do not depend on which thread ran a shard, and on a 2-core
-    host, where every GEMM runs at one OpenBLAS thread, not on
-    ``OPENBLAS_NUM_THREADS`` either."""
+    """Mini-batch Adam over ``config.epochs`` epochs with the step-decay schedule; shuffles
+    the full training set each epoch, keeps the last partial batch, and evaluates the test
+    set after each epoch. A batch that the forward runs as two row shards trains as two
+    (``_shard_losses``, ``_shard_gradients``), the second shard on the worker thread when
+    ``_worker_core_free()``. The shards, their dropout generators and the order of the sum
+    are fixed, so the outputs do not depend on which thread ran a shard, and on a 2-core
+    host, where every GEMM runs at one OpenBLAS thread, not on ``OPENBLAS_NUM_THREADS``."""
     if not split.train or not split.test:
         raise ConfigError("training needs non-empty train and test sets")
     if config.epochs < 1:   # a checkpoint may hold 0, but a trial must train

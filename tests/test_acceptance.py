@@ -310,11 +310,11 @@ def test_criterion_9_determinism_and_persistence(tmp_path, desk_run):
     model, split, trial, _ = desk_run
 
     # bit-identical re-training on a quick configuration
-    spec = data.SyntheticSpec(sample_rate=12000.0, classes=[
+    classes = (
         data.ClassSpec(rep_hz=600.0, res_hz=1200.0, decay=800.0, amplitude=2.5, noise_std=0.2),
         data.ClassSpec(rep_hz=1500.0, res_hz=3600.0, decay=2500.0, amplitude=2.5, noise_std=0.2),
-    ])
-    windows = data.generate_synthetic(spec, 20, seed=5, length=64)
+    )
+    windows = data.generate_synthetic(classes, 20, seed=5, length=64)
     quick_split = data.split_train_test(windows, 30, 10, seed=2)
     cfg = TSTConfig(L=64, ns=16, dim=16, dim_mlp=32, d_k=8, heads=2, depth=2,
                     n_class=2, epochs=3, batch_size=8, lr=1e-3)
@@ -347,8 +347,7 @@ def test_criterion_10_four_class_collapse(desk_run, rng):
 
     model, split, trial, _ = desk_run
     x, y = data.windows_to_arrays(split.test)
-    pred = np.concatenate([model.predict(x[i:i + 64]) for i in range(0, len(x), 64)])
-    m10 = analysis.confusion(y, pred, n_class=10)
+    m10 = analysis.confusion(y, model.predict(x), n_class=10)
     acc10 = analysis.accuracy_from_confusion(m10)
     acc4 = analysis.accuracy_from_confusion(analysis.collapse_to_4class(m10))
     assert acc4 >= acc10

@@ -28,8 +28,7 @@ CFG = TSTConfig(L=16, ns=4, dim=8, dim_mlp=8, d_k=4, heads=2, depth=2, n_class=2
 
 
 def tiny_split():
-    spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:2])
-    windows = data.generate_synthetic(spec, 6, seed=0, length=CFG.L)
+    windows = data.generate_synthetic(data.default_synthetic_spec()[:2], 6, seed=0, length=CFG.L)
     return data.split_train_test(windows, 8, 4, seed=0)
 
 

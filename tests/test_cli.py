@@ -141,8 +141,8 @@ def test_the_package_trains_and_runs_float64_without_scipy():
         "from tst.model import TSTConfig, TSTModel\n"
         "cfg = TSTConfig(L=16, ns=4, dim=4, dim_mlp=4, d_k=2, heads=1, depth=1, n_class=2,\n"
         "                epochs=1, batch_size=4)\n"
-        "spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:2])\n"
-        "windows = data.generate_synthetic(spec, 3, seed=0, length=16)\n"
+        "windows = data.generate_synthetic(data.default_synthetic_spec()[:2], 3, seed=0,\n"
+        "                                  length=16)\n"
         "split = data.split_train_test(windows, 4, 2, seed=0)\n"
         "report = training.train(TSTModel(cfg, seed=0), split, cfg, seed=0)\n"
         "x = np.random.default_rng(0).normal(size=(2, 16))\n"
@@ -189,6 +189,16 @@ def test_config_file_roundtrip(small_dataset, tmp_path):
     bad.write_text(json.dumps({"no_such_field": 1}))
     assert run(["train", "--data", str(small_dataset), "--config", str(bad),
                 "--out-dir", str(out)]) == cli.EXIT_CONFIG
+
+
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text('{"dim": 32, "depth": 2}')
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run(["cost", "--config", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert run(["cost", "--config", str(marked)]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("text", [
@@ -472,8 +482,8 @@ def tiny_embed_inputs(tmp_path_factory):
     """A freshly initialized tiny checkpoint and 12 windows it accepts."""
     root = tmp_path_factory.mktemp("embed")
     save_checkpoint(TSTModel(TINY_MODEL, seed=0), root / "model.tst")
-    spec = data.SyntheticSpec(classes=data.default_synthetic_spec().classes[:TINY_MODEL.n_class])
-    data.write_csv(data.generate_synthetic(spec, 6, seed=0, length=TINY_MODEL.L),
+    classes = data.default_synthetic_spec()[:TINY_MODEL.n_class]
+    data.write_csv(data.generate_synthetic(classes, 6, seed=0, length=TINY_MODEL.L),
                    root / "set.csv")
     (root / "fuzz").mkdir()
     return root

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -31,11 +32,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def two_class_split(n_per_class=20, seed=5, length=64):
-    spec = data.SyntheticSpec(sample_rate=12000.0, classes=[
+    classes = (
         data.ClassSpec(rep_hz=600.0, res_hz=1200.0, decay=800.0, amplitude=2.5, noise_std=0.2),
         data.ClassSpec(rep_hz=1500.0, res_hz=3600.0, decay=2500.0, amplitude=2.5, noise_std=0.2),
-    ])
-    windows = data.generate_synthetic(spec, n_per_class, seed=seed, length=length)
+    )
+    windows = data.generate_synthetic(classes, n_per_class, seed=seed, length=length)
     return data.split_train_test(windows, 30, 10, seed=2)
 
 
@@ -429,13 +430,11 @@ def as_windows(x, y):
 
 
 def eval_outputs(model, x, y, batch_size):
-    """evaluate, predict (per batch, as ``tst train`` calls it) and the
-    class-token stages of collect_stage_features, over the same batches."""
+    """evaluate, predict and the class-token stages of collect_stage_features, the last
+    two over the config's batches, here of ``batch_size`` rows."""
     model.config = replace(model.config, batch_size=batch_size)
     stages, _ = analysis.collect_stage_features(model, as_windows(x, y))
-    pred = np.concatenate([model.predict(x[i:i + batch_size])
-                           for i in range(0, len(x), batch_size)])
-    return evaluate(model, x, y, batch_size), pred, stages[1:]
+    return evaluate(model, x, y, batch_size), model.predict(x), stages[1:]
 
 
 def oracle_outputs(model, x, y, batch_size):
@@ -504,6 +503,43 @@ def test_eval_runs_the_second_half_on_a_worker_when_a_core_is_free(small_halves,
     evaluate(split_model(), x, y, 7)
     # rows [0, ceil(B/2)) on the calling thread, the rest on the worker
     assert sorted(forward_calls) == [(3, False), (3, True), (3, True), (4, False)]
+
+
+def test_predict_forwards_batches_of_the_config_size_as_evaluate_does(monkeypatch, forward_calls):
+    model = split_model()
+    model.config = replace(SPLIT_CFG, batch_size=4)
+    x, y = split_inputs()   # 13 rows: batches of 4, 4, 4 and 1
+    pred = model.predict(x)
+    assert forward_calls == [(4, False)] * 3 + [(1, False)]
+    per_batch, real = [], TSTModel.forward
+
+    def keeping(model_, xb, training=False, rng=None):
+        result = real(model_, xb, training, rng)
+        per_batch.append(np.argmax(result.logits.data, axis=1))
+        return result
+
+    monkeypatch.setattr(TSTModel, "forward", keeping)
+    evaluate(model, x, y, 4)
+    assert [len(p) for p in per_batch] == [4, 4, 4, 1]
+    assert np.array_equal(pred, np.concatenate(per_batch))
+
+
+def test_eval_batches_abandoned_after_one_batch_leave_grad_mode_on():
+    model = split_model()
+    batches = model.eval_batches(split_inputs()[0], 4)
+    rows, result = next(batches)
+    assert rows == slice(0, 4) and result.logits.shape == (4, SPLIT_CFG.n_class)
+    assert T._grad_enabled() and not result.logits.requires_grad
+    batches.close()
+    assert T._grad_enabled()
+
+
+@pytest.mark.parametrize("shape", [(16,), (9, SPLIT_CFG.L + 1)], ids=["1-d", "wrong-length"])
+def test_mis_shaped_predict_input_names_its_own_shape(shape):
+    model = split_model()
+    model.config = replace(SPLIT_CFG, batch_size=2)
+    with pytest.raises(ConfigError, match=rf"input shape {re.escape(str(shape))} does not"):
+        model.predict(np.zeros(shape, np.float32))
 
 
 @pytest.mark.parametrize("rows, halves", [(SPLIT_ROWS - 1, [SPLIT_ROWS - 1]),
