@@ -179,6 +179,7 @@ def collapse_to_4class(matrix) -> np.ndarray:
 
 MAX_TSNE_POINTS = 5000
 _P_FLOOR = 1e-12
+_BETA_STEPS, _ENTROPY_TOL = 64, 1e-7   # each row's beta bisection: step cap, entropy gap
 
 
 def _squared_distances(x: np.ndarray) -> np.ndarray:
@@ -188,13 +189,12 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _conditional_probs(d2_row: np.ndarray, target_entropy: float,
-                       steps: int = 64, tol: float = 1e-7) -> np.ndarray:
+def _conditional_probs(d2_row: np.ndarray, target_entropy: float) -> np.ndarray:
     """Binary search the precision beta so the row's Shannon entropy matches
     log(perplexity)."""
     beta, lo, hi = 1.0, 0.0, math.inf
     p = np.zeros_like(d2_row)
-    for _ in range(steps):
+    for _ in range(_BETA_STEPS):
         p = np.exp(-d2_row * beta)
         s = p.sum()
         if s <= 0.0:
@@ -205,7 +205,7 @@ def _conditional_probs(d2_row: np.ndarray, target_entropy: float,
             nz = p > 0
             entropy = float(-np.sum(p[nz] * np.log(p[nz])))
         diff = entropy - target_entropy
-        if abs(diff) < tol:
+        if abs(diff) < _ENTROPY_TOL:
             break
         if diff > 0:      # entropy too high -> tighten the kernel
             lo = beta

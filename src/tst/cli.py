@@ -143,12 +143,24 @@ def _require_at_least(args, low: int, *flags: str):
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
+def _require_output(flag: str, path: Path, file: bool = False) -> Path:
+    """``path``, unless the command could not write it as its output directory (with ``file``,
+    its output file): a file path naming a directory, or a path whose nearest existing part
+    (a directory counts itself) is not a directory. Creates nothing."""
+    if file and path.is_dir():
+        raise ConfigError(f"{flag} {path} is a directory")
+    start = path.parent if file else path
+    nearest = next((p for p in (start, *start.parents) if p.exists()), start)
+    if not nearest.is_dir():
+        raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
     classes = data.default_synthetic_spec()
     if not 1 <= args.classes <= len(classes):
         raise ConfigError(f"--classes must be in [1, {len(classes)}], got {args.classes}")
@@ -157,6 +169,7 @@ def cmd_synth(args) -> int:
     if samples > MAX_SYNTH_SAMPLES:   # before any window is built
         raise ConfigError(f"--classes x --per-class x --length must be <= "
                           f"{MAX_SYNTH_SAMPLES} samples, got {samples}")
+    out = _require_output("--out", Path(args.out), file=True)
     windows = data.generate_synthetic(classes[:args.classes], args.per_class, args.seed,
                                       length=args.length)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -170,7 +183,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out_dir)
+    out_dir = _require_output("--out-dir", Path(args.out_dir))
     split = _load_split(args, cfg)
     model = TSTModel(cfg, seed=args.seed)
     report = training.train(model, split, cfg, seed=args.seed)
@@ -194,7 +207,7 @@ def cmd_study(args) -> int:
     if args.jobs > _CORES:   # each job is a thread holding its own model and data copy
         raise ConfigError(f"--jobs must be <= {_CORES}, the usable cores, got {args.jobs}")
     cfg = resolve_config(args)
-    out_dir = Path(args.out_dir)
+    out_dir = _require_output("--out-dir", Path(args.out_dir))
     split = _load_split(args, cfg)
     seeds = [args.base_seed + i for i in range(args.trials)]
     study = training.repeat_trials(split, cfg, seeds, jobs=args.jobs)
@@ -278,6 +291,7 @@ def cmd_cost(args) -> int:
 
 def cmd_embed(args) -> int:
     _require_at_least(args, 1, "max_points")
+    out = _require_output("--out", Path(args.out), file=True)
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
     windows = data.load_csv(args.data, length=cfg.L, n_class=cfg.n_class)
@@ -285,7 +299,6 @@ def cmd_embed(args) -> int:
         keep = np.random.default_rng(args.seed).choice(len(windows), args.max_points,
                                                        replace=False)
         windows = [windows[i] for i in sorted(keep)]
-    out = Path(args.out)
     coords, _ = analysis.export_embeddings(model, windows, out,
                                            perplexity=args.perplexity,
                                            iterations=args.iterations, seed=args.seed)

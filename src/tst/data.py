@@ -166,14 +166,16 @@ def generate_synthetic(classes, n_per_class: int, seed: int,
 # ---------------------------------------------------------------------------
 # model-facing arrays
 
+_STD_EPS = 1e-8   # keeps a constant window finite
 
-def standardize(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+
+def standardize(x: np.ndarray) -> np.ndarray:
     """Per-row zero mean / unit variance; applied to every window before it
     reaches the tokenizer."""
     x = np.asarray(x, dtype=np.float32)
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    return (x - mu) / (sd + eps)
+    return (x - mu) / (sd + _STD_EPS)
 
 
 def windows_to_arrays(windows) -> tuple[np.ndarray, np.ndarray]:

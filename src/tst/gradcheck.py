@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+_FLOOR = 1e-6   # max_rel_error's denominator where both values are near zero
+
 
 def numerical_grads(
     f: Callable[[Sequence[np.ndarray]], float],
@@ -37,14 +39,14 @@ def numerical_grads(
     return grads
 
 
-def max_rel_error(analytic, numeric, floor: float = 1e-6) -> float:
-    """Worst elementwise |a - n| / max(|a| + |n|, floor) over paired arrays."""
+def max_rel_error(analytic, numeric) -> float:
+    """Worst elementwise |a - n| / max(|a| + |n|, _FLOOR) over paired arrays."""
     if isinstance(analytic, np.ndarray):
         analytic, numeric = [analytic], [numeric]
     worst = 0.0
     for a, n in zip(analytic, numeric):
         a = np.asarray(a, dtype=np.float64)
         n = np.asarray(n, dtype=np.float64)
-        denom = np.maximum(np.abs(a) + np.abs(n), floor)
+        denom = np.maximum(np.abs(a) + np.abs(n), _FLOOR)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst

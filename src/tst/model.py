@@ -104,6 +104,7 @@ class TSTConfig:
 # the config fields by type, in declared order: the checkpoint's field layout
 _INT_FIELDS = tuple(f.name for f in fields(TSTConfig) if f.type == "int")
 _FLOAT_FIELDS = tuple(f.name for f in fields(TSTConfig) if f.type == "float")
+_HEADER = struct.Struct("<" + "I" * len(_INT_FIELDS) + "d" * len(_FLOAT_FIELDS) + "B")
 
 
 class ForwardResult(NamedTuple):
@@ -291,8 +292,8 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # checkpointing
 #
-# Layout (all little-endian): magic "TST1"; the _INT_FIELDS as u32, then the
-# _FLOAT_FIELDS as f64, then pos_encoding as u8 (1=learned-1d, 0=none);
+# Layout (all little-endian): magic "TST1"; the _HEADER, which holds the _INT_FIELDS as
+# u32, then the _FLOAT_FIELDS as f64, then pos_encoding as u8 (1=learned-1d, 0=none);
 # u32 parameter count; then per parameter u32 ndim, u32 dims..., float32
 # data in enumeration order. Round-trips bit-exactly for float32 models.
 
@@ -301,11 +302,8 @@ def save_checkpoint(model: TSTModel, path):
     cfg = model.config   # valid, so every int field fits its u32
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<" + "I" * len(_INT_FIELDS),
-                             *[getattr(cfg, n) for n in _INT_FIELDS]))
-        fh.write(struct.pack("<" + "d" * len(_FLOAT_FIELDS),
-                             *[getattr(cfg, n) for n in _FLOAT_FIELDS]))
-        fh.write(struct.pack("<B", 1 if cfg.pos_encoding == POS_LEARNED_1D else 0))
+        fh.write(_HEADER.pack(*[getattr(cfg, n) for n in _INT_FIELDS + _FLOAT_FIELDS],
+                              1 if cfg.pos_encoding == POS_LEARNED_1D else 0))
         params = model.parameters()
         fh.write(struct.pack("<I", len(params)))
         for _, p in params:
@@ -329,15 +327,10 @@ def load_checkpoint(path, expected_config: TSTConfig | None = None) -> TSTModel:
     with fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise DataError(f"{path} is not a TST checkpoint")
-        ints = struct.unpack("<" + "I" * len(_INT_FIELDS),
-                             _read_exact(fh, 4 * len(_INT_FIELDS), "config"))
-        floats = struct.unpack("<" + "d" * len(_FLOAT_FIELDS),
-                               _read_exact(fh, 8 * len(_FLOAT_FIELDS), "config"))
-        pos_flag = struct.unpack("<B", _read_exact(fh, 1, "config"))[0]
+        *values, pos_flag = _HEADER.unpack(_read_exact(fh, _HEADER.size, "config"))
         if pos_flag > 1:   # save_checkpoint writes only 0 or 1
             raise DataError(f"checkpoint position-encoding flag is {pos_flag}, not 0 or 1")
-        cfg = TSTConfig(**dict(zip(_INT_FIELDS, ints)),
-                        **dict(zip(_FLOAT_FIELDS, floats)),
+        cfg = TSTConfig(**dict(zip(_INT_FIELDS + _FLOAT_FIELDS, values)),
                         pos_encoding=POS_LEARNED_1D if pos_flag else POS_NONE)
         if expected_config is not None and cfg != expected_config:
             raise ConfigError(f"checkpoint config {cfg} does not match expected {expected_config}")

@@ -59,8 +59,8 @@ _ERF_Q = (-1.42647390514189e-2, -7.37332916720468e-3, -1.68282697438203e-3,
 _PHI_P = np.array([a * 0.5 ** (k + 1.5) for k, a in enumerate(_ERF_P)][::-1], dtype=np.float32)
 _PHI_Q = np.array([b * 0.5 ** k for k, b in enumerate(_ERF_Q)][::-1], dtype=np.float32)
 _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
-# elements per pass of the float32 kernel, and of MLP width per feed_forward row block: its
-# three 256 KiB buffers stay in cache, ~3x faster than whole-array passes on stock activations
+# MLP-width elements per feed_forward row block (at least one batch row): the gelu kernel's
+# three 256 KiB scratch buffers per block stay in cache, ~3x faster than whole-array passes
 _GELU_CHUNK = 2**16
 # score, key and value elements per attention row block (score elements per head block):
 # at most a 1 MiB float32 tile, half a 2 MiB per-core L2, so the softmax passes run in
@@ -186,9 +186,9 @@ def _records(*inputs: Tensor) -> bool:
 
 
 def _result(data, parents, vjp) -> Tensor:
-    """Wrap an op result, recording the graph node only when needed. ``vjp``
-    must bind arrays, shapes and flags, never a ``Tensor``: the node keeps
-    exactly what the closure holds."""
+    """Wrap an op result, recording the graph node only when needed. An input without a
+    node becomes a ``None`` parent, whose adjoint backward drops. ``vjp`` must bind arrays,
+    shapes and flags, never a ``Tensor``: the node keeps exactly what the closure holds."""
     out = Tensor(data)
     if _records(*parents):
         out._node = _Node(tuple(p._node for p in parents), vjp)
@@ -362,7 +362,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
     s = x.data - np.max(x.data, axis=axis, keepdims=True)
-    np.exp(s, out=s)   # one large temporary, reused; attention maps are big
+    np.exp(s, out=s)
     s /= np.sum(s, axis=axis, keepdims=True)
 
     def vjp(g):
@@ -430,7 +430,6 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     tile_size = max((r.stop - r.start) * (h.stop - h.start) for r, h in blocks) * m * n
     dtype = np.result_type(x, gain, bias, w, w_o)
     buffer = np.empty(tile_size, dtype=dtype)
-    needed = tuple(t.requires_grad for t in inputs)
     # rows of xhat, projections and context held: all for the pullback, else one row block's,
     # whose norm then runs in place where the dtypes agree
     rows, records = max(r.stop - r.start for r in row_blocks), _records(*inputs)
@@ -467,7 +466,7 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     context = context.reshape(held, m, width)
 
     def vjp(g):
-        nonlocal q, k, v, context   # freed before the norm's pullback, as separate nodes were
+        nonlocal q, k, v, context   # freed before the norm's pullback
         g_attn = np.matmul(g, w_o.T)   # w_o's adjoints, as matmul's pullback writes them
         gw_o = _unbroadcast(np.matmul(np.swapaxes(context, -1, -2), g), w_o.shape)
         g_ctx = g_attn.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
@@ -500,9 +499,8 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
         gw = np.matmul(h.T, d_qkv)
         gh = np.matmul(d_qkv, w.T, out=h).reshape(b, n, dim)
         q = k = v = context = g_attn = g_ctx = d_qkv = dq = dk = dv = p = d_scores = tiles = None
-        grads = _ln_pullback(gh, gain, xhat, inv) if any(needed[:3]) else (None,) * 3
-        grads += (gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:], gw_o)
-        return tuple(grad if need else None for grad, need in zip(grads, needed))
+        return _ln_pullback(gh, gain, xhat, inv) + (
+            gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:], gw_o)
 
     return _result(out, inputs, vjp)
 
@@ -551,13 +549,8 @@ def layer_norm(x, gain, bias) -> Tensor:
         )
     xhat, inv = _ln_forward(x.data)
     gain_data = gain.data
-    needed = (x.requires_grad, gain.requires_grad, bias.requires_grad)
-
-    def vjp(g):
-        grads = _ln_pullback(g, gain_data, xhat, inv)
-        return tuple(grad if need else None for grad, need in zip(grads, needed))
-
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return _result(xhat * gain.data + bias.data, (x, gain, bias),
+                   lambda g: _ln_pullback(g, gain_data, xhat, inv))
 
 
 def _horner(s: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -584,30 +577,23 @@ def _add_x_pdf(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _gelu_into(x: np.ndarray, out: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x) into ``out``, which may be ``x`` itself, and with ``grad`` also the
-    derivative Phi(x) + x * pdf(x). A contiguous float32 ``x`` goes through the rational
-    kernel in chunks of ``_GELU_CHUNK`` elements, over three reused buffers."""
+    derivative Phi(x) + x * pdf(x). A float32 ``x`` goes through the rational kernel in one
+    pass over three scratch buffers of its size; ``feed_forward``'s row blocks bound it."""
     if x.dtype != np.float32:
         phi = 0.5 * (1.0 + np.asarray(_erf(x * _INV_SQRT2), dtype=x.dtype))
         if grad is not None:
             _add_x_pdf(x, phi, grad)
         return np.multiply(x, phi, out=out)
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
-    flat_grad = None if grad is None else grad.reshape(-1)
-    buffers = np.empty((3, min(_GELU_CHUNK, flat.size)), dtype=np.float32)
-    for i in range(0, flat.size, _GELU_CHUNK):
-        part = flat[i:i + _GELU_CHUNK]
-        n = part.size
-        c, s, phi = buffers[:, :n]
-        np.clip(part, -_PHI_CLAMP, _PHI_CLAMP, out=c)
-        np.multiply(c, c, out=s)
-        _horner(s, _PHI_P, phi)
-        phi *= c
-        phi /= _horner(s, _PHI_Q, c)   # c is read for the last time above
-        phi += 0.5
-        if grad is not None:
-            _add_x_pdf(part, phi, flat_grad[i:i + n])
-        np.multiply(part, phi, out=flat_out[i:i + n])
-    return out
+    c, s, phi = np.empty((3,) + x.shape, dtype=np.float32)
+    np.clip(x, -_PHI_CLAMP, _PHI_CLAMP, out=c)
+    np.multiply(c, c, out=s)
+    _horner(s, _PHI_P, phi)
+    phi *= c
+    phi /= _horner(s, _PHI_Q, c)   # c is read for the last time above
+    phi += 0.5
+    if grad is not None:
+        _add_x_pdf(x, phi, grad)
+    return np.multiply(x, phi, out=out)
 
 
 def gelu(x) -> Tensor:
@@ -642,7 +628,6 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     shapes = (gain.shape, bias.shape, w1.shape, b1.shape, w2.shape, b2.shape)
     if shapes != ((dim,), (dim,), (dim, width), (width,), (width, dim_out), (dim_out,)):
         raise ShapeError(f"feed_forward shapes {x.shape}, {shapes} do not chain")
-    needed = tuple(t.requires_grad for t in inputs)
     row_blocks = _even_slices(b, max(1, _GELU_CHUNK // (n * width)))
     rows = max(r.stop - r.start for r in row_blocks)
     held = b if _records(*inputs) else rows   # xhat rows: all for the pullback, else one block
@@ -676,10 +661,9 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
             gu[r] *= d
             np.matmul(np.swapaxes(h, -1, -2), gu[r], out=gw1[r])
             np.matmul(gu[r], w1.T, out=gh[r])
-        grads = _ln_pullback(gh, gain, xhat, inv) + (
+        return _ln_pullback(gh, gain, xhat, inv) + (
             _unbroadcast(gw1, w1.shape), _unbroadcast(gu, b1.shape),
             _unbroadcast(gw2, w2.shape), _unbroadcast(g, b2.shape))
-        return tuple(grad if need else None for grad, need in zip(grads, needed))
 
     return _result(out, inputs, vjp)
 
@@ -709,15 +693,8 @@ def dropout(x, p_drop: float, training: bool, rng: np.random.Generator | None = 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    grads = [t.requires_grad for t in tensors]
-
-    def vjp(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple(p if needed else None for needed, p in zip(grads, parts))
-
-    return _result(data, tuple(tensors), vjp)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _result(data, tuple(tensors), lambda g: np.split(g, splits, axis=axis))
 
 
 def reshape(x, shape) -> Tensor:

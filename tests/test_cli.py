@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FUZZ, call_bounded
-from tst import analysis, cli, data
+from tst import analysis, cli, data, training
 from tst import model as tstmodel
 from tst.model import TSTConfig, TSTModel, load_checkpoint, save_checkpoint
 
@@ -691,3 +691,70 @@ def test_input_file_that_cannot_be_opened_is_one_line_typed_error(tiny_embed_inp
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(prefix) and str(bad) in err
     assert not out.exists()
+
+
+def _unwritable(tmp_path, kind):
+    """An output path no command can write: a regular file, a path under one, or (for an
+    output file) a directory."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return {"file": blocker, "under-file": blocker / "out",
+            "directory": tmp_path}[kind]
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(module, name)``: a list to which ``module.name``, replaced, appends
+    ``name`` per call."""
+    calls = []
+
+    def patch(module, name):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name))
+        return calls
+    return patch
+
+
+def _rejects_output(argv, flag, capsys):
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {flag} ")
+
+
+@pytest.mark.parametrize("kind", ["under-file", "directory"])
+def test_synth_rejects_an_unwritable_out_before_generating(tmp_path, capsys, record_calls, kind):
+    calls = record_calls(data, "generate_synthetic")
+    out = _unwritable(tmp_path, kind)
+    _rejects_output(["synth", "--classes", "2", "--per-class", "2", "--length", "16",
+                     "--out", str(out)], "--out", capsys)
+    assert calls == [] and not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "under-file"])
+def test_train_rejects_an_unwritable_out_dir_before_training(small_dataset, tmp_path, capsys,
+                                                             record_calls, kind):
+    calls = record_calls(training, "train")
+    _rejects_output(["train", "--data", str(small_dataset),
+                     "--out-dir", str(_unwritable(tmp_path, kind))] + SMALL_MODEL,
+                    "--out-dir", capsys)
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+@pytest.mark.parametrize("kind", ["file", "under-file"])
+def test_study_rejects_an_unwritable_out_dir_before_training(small_dataset, tmp_path, capsys,
+                                                             record_calls, kind):
+    calls = record_calls(training, "repeat_trials")
+    _rejects_output(["study", "--trials", "2", "--data", str(small_dataset),
+                     "--out-dir", str(_unwritable(tmp_path, kind))] + SMALL_MODEL,
+                    "--out-dir", capsys)
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+@pytest.mark.parametrize("kind", ["under-file", "directory"])
+def test_embed_rejects_an_unwritable_out_before_the_tsne(tiny_embed_inputs, tmp_path, capsys,
+                                                         record_calls, kind):
+    calls = record_calls(analysis, "tsne_embed")
+    _rejects_output(["embed", "--checkpoint", str(tiny_embed_inputs / "model.tst"),
+                     "--data", str(tiny_embed_inputs / "set.csv"), "--perplexity", "2",
+                     "--iterations", "3", "--out", str(_unwritable(tmp_path, kind))],
+                    "--out", capsys)
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]

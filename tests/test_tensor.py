@@ -331,3 +331,16 @@ def test_no_grad_blocks_recording(rng):
     # recording resumes outside the context
     (gx,) = backward(T.tsum(T.mul(x, 2.0)), [x])
     np.testing.assert_allclose(gx, 2.0)
+
+
+def test_float32_gelu_of_a_stock_mlp_row_equals_gelu_of_its_two_parts(rng):
+    # one stock block row of MLP width, 257 x 256 = 65,792 elements, in one pass or split
+    # at 2**16 gives the same values and derivatives, bit for bit
+    x = rng.normal(scale=3.0, size=257 * 256).astype(np.float32)
+    parts = [x[:2**16], x[2**16:]]
+    whole, each = Tensor(x, requires_grad=True), [Tensor(p, requires_grad=True) for p in parts]
+    out, outs = T.gelu(whole), [T.gelu(p) for p in each]
+    assert np.array_equal(out.data, np.concatenate([o.data for o in outs]))
+    grad = backward(T.tsum(out), [whole])[0]
+    grads = [backward(T.tsum(o), [p])[0] for o, p in zip(outs, each)]
+    assert np.array_equal(grad, np.concatenate(grads))

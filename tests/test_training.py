@@ -767,3 +767,12 @@ def test_a_shard_raising_on_the_worker_reaches_the_caller(small_halves, monkeypa
     with pytest.raises(RuntimeError) as raised:
         train(TSTModel(quick_cfg(1), seed=0), two_class_split(), quick_cfg(1), seed=0)
     assert raised.value is error
+
+
+def test_train_rejects_windows_of_another_length_before_any_parameter_changes():
+    split = two_class_split(length=2 * TWO_CLASS_CFG.L)
+    model = TSTModel(TWO_CLASS_CFG, seed=0)
+    before = param_digest(model)
+    with pytest.raises(ConfigError, match=rf"does not match \(B, {TWO_CLASS_CFG.L}\)"):
+        train(model, split, TWO_CLASS_CFG, seed=0)
+    assert param_digest(model) == before

@@ -599,3 +599,37 @@ def test_last_block_attention_keeps_one_query_row(rng):
         assert set(arrays) == {"xhat", "inv", "gain", "bias", "w", "w_o", "q", "k", "v",
                                "context", "row_max", "row_sum"}
         assert all(a.size != b * heads * m * n for a in arrays.values())
+
+
+# each op's inputs, the first the op's x (concat's first part), and the op over them
+_PARTIAL_OPS = {
+    "attention": (lambda rng: _attention_inputs(rng, 3, b=5, dim=6),
+                  lambda t: T.self_attention(*t, 3)),
+    "attention-query1": (lambda rng: _attention_inputs(rng, 3, b=5, dim=6),
+                         lambda t: T.self_attention(*t, 3, queries=1)),
+    "feed_forward": (lambda rng: _feed_forward_inputs(rng, 5), lambda t: T.feed_forward(*t)),
+    "layer_norm": (lambda rng: [rng.normal(size=s) for s in [(5, 7, 6), (6,), (6,)]],
+                   lambda t: T.layer_norm(*t)),
+    "concat": (lambda rng: [rng.normal(size=(k, 3, 4)) for k in (2, 1, 3)],
+               lambda t: T.concat(t, axis=0)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_PARTIAL_OPS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_partial_requires_grad_gives_the_all_inputs_gradients_bit_for_bit(rng, op, dtype):
+    # the graph alone decides which inputs get a gradient: marking fewer inputs changes
+    # which gradients backward returns, never their bits
+    make, build = _PARTIAL_OPS[op]
+    arrays = [a.astype(dtype) for a in make(rng)]
+    weighting = Tensor(rng.normal(size=build([Tensor(a) for a in arrays]).shape).astype(dtype))
+
+    def grads(marked):
+        inputs = [Tensor(a, requires_grad=i in marked) for i, a in enumerate(arrays)]
+        return backward(T.tsum(T.mul(build(inputs), weighting)), [inputs[i] for i in marked])
+
+    every = grads(range(len(arrays)))
+    assert all(g is not None for g in every)
+    for marked in ([0], range(1, len(arrays))):   # only x, or only the weights
+        for i, g in zip(marked, grads(marked)):
+            assert g.dtype == every[i].dtype and np.array_equal(g, every[i]), (op, i)
