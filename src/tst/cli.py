@@ -268,11 +268,12 @@ def cmd_cost(args) -> int:
                             and k not in ("subcommand", "func", "argv", "sweep", "csv"))
         if given:   # the other cost flags build the one config that --sweep does not print
             raise ConfigError(f"--sweep prints its own configs, so it takes no {given}")
+        csv = None if args.csv is None else _require_output("--csv", Path(args.csv), file=True)
         records = _sweep_records()
         print("\n".join(_cost_lines(records)))
-        if args.csv is not None:
-            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-            with open(args.csv, "w", encoding="utf-8") as fh:
+        if csv is not None:
+            csv.parent.mkdir(parents=True, exist_ok=True)
+            with open(csv, "w", encoding="utf-8") as fh:
                 fh.write(",".join(records[0]) + "\n")
                 for r in records:   # floats in full (repr), the rest as printed
                     fh.write(",".join(repr(v) if isinstance(v, float) else str(v)

@@ -14,8 +14,8 @@ A node keeps only what its pullback reads. It holds no tensor: each
 pullback binds the arrays, shapes and flags its formula uses (a matmul
 keeps its operands, an add only their shapes, ``gelu`` its derivative).
 The fused block halves, ``self_attention`` and ``feed_forward``, keep their
-norm's xhat and row statistic, not its output, and recompute the attention
-probabilities and MLP activations. ``Tensor._vjp`` reads and replaces
+norm's xhat and row statistic, not its output, and recompute the attention's
+q, k, v and probabilities and the MLP activations. ``Tensor._vjp`` reads and replaces
 the node's pullback: ``backward()`` tells a leaf from an op result by it,
 and the benchmark's span tracer wraps pullbacks through it.
 
@@ -397,15 +397,17 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
 
     The B rows run in near-equal blocks sized by ``_ATTN_BLOCK`` (a row's heads, too, where
     its scores alone exceed it) through one reused score tile. Each row block's norm,
-    projections and ``w_o`` GEMM run in the loop, into whole-batch arrays when a node is
-    recorded, else into one row block's buffers: an eval forward holds no whole-batch
-    normed rows, projections or context.
+    projections and ``w_o`` GEMM run in the loop; normed rows, q, k and v go into one row
+    block's buffers, xhat and the context into whole-batch arrays when a node is recorded,
+    else into row-block buffers too: an eval forward holds no whole-batch normed rows,
+    projections or context.
 
     A recorded node keeps xhat, each row's 1/sqrt(var + eps), the concatenated weights,
-    ``w_o``, the scaled q, k, v, the context and each softmax row's max and sum. Its pullback
-    applies ``w_o``'s adjoints as ``matmul`` does, rebuilds each block's probabilities by the
-    forward's ops, and recomputes the norm output for the projections' weight adjoint, so
-    every output and gradient is bit for bit the composed ops'. Rows past m get no query.
+    ``w_o``, the context and each softmax row's max and sum, but no q, k or v. Its pullback
+    applies ``w_o``'s adjoints as ``matmul`` does, then per row block rebuilds the norm
+    output and the scaled q, k, v through the forward's own ``project`` and each block's
+    probabilities by the forward's ops, so every output and gradient is bit for bit the
+    composed ops'. Rows past m get no query.
     """
     inputs = tuple(as_tensor(t) for t in (x, ln_gain, ln_bias, w_q, w_k, w_v, w_o))
     x, gain, bias, w_q, w_k, w_v, w_o = (t.data for t in inputs)
@@ -426,32 +428,38 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     most = max(3 if m == 1 else 1, _ATTN_BLOCK // (heads * m * n + 2 * n * width))
     row_blocks = _even_slices(b, most)
     head_blocks = _even_slices(heads, max(1, _ATTN_BLOCK // (m * n)))   # for wide rows only
-    blocks = [(r, h) for r in row_blocks for h in head_blocks]
-    tile_size = max((r.stop - r.start) * (h.stop - h.start) for r, h in blocks) * m * n
+    rows = max(r.stop - r.start for r in row_blocks)
+    tile_size = rows * max(h.stop - h.start for h in head_blocks) * m * n
     dtype = np.result_type(x, gain, bias, w, w_o)
-    buffer = np.empty(tile_size, dtype=dtype)
-    # rows of xhat, projections and context held: all for the pullback, else one row block's,
-    # whose norm then runs in place where the dtypes agree
-    rows, records = max(r.stop - r.start for r in row_blocks), _records(*inputs)
+    scale = dtype.type(1.0 / math.sqrt(d_k))
+
+    def project(at: slice, h_r: np.ndarray, kv: np.ndarray, q: np.ndarray):
+        """The norm output of xhat rows ``at`` into ``h_r``, then q, k and v of those rows,
+        each (rows, heads, ., d_k), in the leading rows of the row-block buffers kv and q."""
+        kv_r, q_r = kv[:len(h_r)], q[:len(h_r)]
+        np.multiply(xhat[at], gain, out=h_r)
+        h_r += bias                # layer_norm's xhat * gain + bias
+        np.matmul(h_r.reshape(-1, dim), w[:, width:], out=kv_r.reshape(-1, 2 * width))
+        np.matmul(h_r[:, :m].reshape(-1, dim), w[:, :width], out=q_r.reshape(-1, width))
+        q_r *= scale               # scale q rather than the much larger scores
+        return (q_r.transpose(0, 2, 1, 3),) + tuple(kv_r.transpose(2, 0, 3, 1, 4))
+
+    # rows of xhat and context held: all for the pullback, else one row block's, whose norm
+    # then runs in place where the dtypes agree; q, k and v are one row block's either way
+    records = _records(*inputs)
     held = b if records else rows
     xhat, inv = np.empty((held, n, dim), dtype=x.dtype), np.empty((held, n, 1), dtype=x.dtype)
     normed = xhat if not records and dtype == x.dtype else np.empty((rows, n, dim), dtype)
-    kv = np.empty((held, n, 2, heads, d_k), dtype=dtype)
-    q, context = np.empty((2, held, m, heads, d_k), dtype=dtype)
-    scale = dtype.type(1.0 / math.sqrt(d_k))
+    kv, q = np.empty((rows, n, 2, heads, d_k), dtype), np.empty((rows, m, heads, d_k), dtype)
+    context = np.empty((held, m, heads, d_k), dtype=dtype)
+    buffer = np.empty(tile_size, dtype=dtype)
     row_max, row_sum = np.empty((2, b, heads, m, 1), dtype=dtype)
     out = np.empty((b, m, w_o.shape[1]), dtype=dtype)
     for r in row_blocks:
         at = r if held == b else slice(0, r.stop - r.start)
         inv[at] = _ln_forward(x[r], xhat[at])[1]
-        h_r = np.multiply(xhat[at], gain, out=normed[:r.stop - r.start])
-        h_r += bias                # layer_norm's xhat * gain + bias
-        kv_r, q_r, ctx = kv[at], q[at], context[at].transpose(0, 2, 1, 3)
-        np.matmul(h_r.reshape(-1, dim), w[:, width:], out=kv_r.reshape(-1, 2 * width))
-        np.matmul(h_r[:, :m].reshape(-1, dim), w[:, :width], out=q_r.reshape(-1, width))
-        q_r *= scale               # scale q rather than the much larger scores
-        k_r, v_r = kv_r.transpose(2, 0, 3, 1, 4)   # (rows, heads, n, d_k)
-        q_r = q_r.transpose(0, 2, 1, 3)
+        q_r, k_r, v_r = project(at, normed[:r.stop - r.start], kv, q)
+        ctx = context[at].transpose(0, 2, 1, 3)
         for h in head_blocks:
             p = np.matmul(q_r[:, h], k_r[:, h].swapaxes(-1, -2), out=_tile(buffer, r, h, m, n))
             row_max[r, h] = np.max(p, axis=-1, keepdims=True)
@@ -461,44 +469,48 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
             p /= row_sum[r, h]
             np.matmul(p, v_r[:, h], out=ctx[:, h])
         np.matmul(context[at].reshape(-1, m, width), w_o, out=out[r])
-    k, v = kv.transpose(2, 0, 3, 1, 4)   # what the pullback reads: every row, when recorded
-    q = q.transpose(0, 2, 1, 3)
-    context = context.reshape(held, m, width)
+    context = context.reshape(held, m, width)   # every row, when recorded
 
     def vjp(g):
-        nonlocal q, k, v, context   # freed before the norm's pullback
+        nonlocal context           # freed once gw_o and the softmax row sums are taken
         g_attn = np.matmul(g, w_o.T)   # w_o's adjoints, as matmul's pullback writes them
         gw_o = _unbroadcast(np.matmul(np.swapaxes(context, -1, -2), g), w_o.shape)
         g_ctx = g_attn.reshape(b, m, heads, d_k).transpose(0, 2, 1, 3)
-        d_qkv = np.empty((b, n, 3, heads, d_k), dtype=g.dtype)
-        dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
-        dq[:, :, m:] = 0.0         # rows past m asked no query
-        dq = dq[:, :, :m]
         # softmax: probs * (d_probs - rowsum(d_probs * probs)), and that row
         # sum equals rowsum(g_ctx * ctx) per head, an (m, d_k) product
         inner = np.sum((g_attn * context).reshape(b, m, heads, d_k),
                        axis=-1).transpose(0, 2, 1)[..., None]
+        context = None
+        d_qkv = np.empty((b, n, 3, heads, d_k), dtype=g.dtype)
+        dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
+        dq[:, :, m:] = 0.0         # rows past m asked no query
+        dq = dq[:, :, :m]
+        normed = np.empty((b, n, dim), dtype=dtype)   # the norm output, for w's adjoint
+        kv, q = np.empty((rows, n, 2, heads, d_k), dtype), np.empty((rows, m, heads, d_k), dtype)
         tiles = np.empty((2, tile_size), dtype=g.dtype)   # probabilities, score adjoints
-        for r, h in blocks:
-            # the forward's probabilities again: the same scores, shift and scale
-            p = np.matmul(q[r, h], k[r, h].swapaxes(-1, -2), out=_tile(tiles[0], r, h, m, n))
-            p -= row_max[r, h]
-            np.exp(p, out=p)
-            p /= row_sum[r, h]
-            np.matmul(p.swapaxes(-1, -2), g_ctx[r, h], out=dv[r, h])
-            d_scores = np.matmul(g_ctx[r, h], v[r, h].swapaxes(-1, -2),
-                                 out=_tile(tiles[1], r, h, m, n))
-            d_scores -= inner[r, h]   # d probs, then in place d scores
-            d_scores *= p
-            np.matmul(d_scores, k[r, h], out=dq[r, h])
-            np.matmul(d_scores.swapaxes(-1, -2), q[r, h], out=dk[r, h])
+        for r in row_blocks:
+            # the forward's q, k, v and probabilities again: the same GEMMs, shift and scale
+            q_r, k_r, v_r = project(r, normed[r], kv, q)
+            for h in head_blocks:
+                p = np.matmul(q_r[:, h], k_r[:, h].swapaxes(-1, -2),
+                              out=_tile(tiles[0], r, h, m, n))
+                p -= row_max[r, h]
+                np.exp(p, out=p)
+                p /= row_sum[r, h]
+                np.matmul(p.swapaxes(-1, -2), g_ctx[r, h], out=dv[r, h])
+                d_scores = np.matmul(g_ctx[r, h], v_r[:, h].swapaxes(-1, -2),
+                                     out=_tile(tiles[1], r, h, m, n))
+                d_scores -= inner[r, h]   # d probs, then in place d scores
+                d_scores *= p
+                np.matmul(d_scores, k_r[:, h], out=dq[r, h])
+                np.matmul(d_scores.swapaxes(-1, -2), q_r[:, h], out=dk[r, h])
         dq *= scale
         d_qkv = d_qkv.reshape(b * n, 3 * width)
-        h = np.multiply(xhat, gain).reshape(b * n, dim)   # the norm output again, for
-        h += bias.reshape(1, dim)                        # the projections' adjoint
-        gw = np.matmul(h.T, d_qkv)
-        gh = np.matmul(d_qkv, w.T, out=h).reshape(b, n, dim)
-        q = k = v = context = g_attn = g_ctx = d_qkv = dq = dk = dv = p = d_scores = tiles = None
+        normed = normed.reshape(b * n, dim)
+        gw = np.matmul(normed.T, d_qkv)
+        gh = np.matmul(d_qkv, w.T, out=normed).reshape(b, n, dim)
+        g_attn = g_ctx = d_qkv = dq = dk = dv = kv = q = q_r = k_r = v_r = p = d_scores = None
+        tiles = None               # no big array but gh held through the norm's pullback
         return _ln_pullback(gh, gain, xhat, inv) + (
             gw[:, :width], gw[:, width:2 * width], gw[:, 2 * width:], gw_o)
 

@@ -21,8 +21,9 @@ dim, so a block's dim and d_k are read off ``w_q.shape``.
 Each half of a block is one recorded op: ``tensor.self_attention`` (ln1, the
 three projections, per-head attention and ``w_o``) and ``tensor.feed_forward``
 (ln2, both MLP GEMMs and gelu). Neither node keeps a score-sized or MLP-width
-array; their pullbacks recompute those bit for bit. Dropout and the residual
-adds stay outside both ops, so the dropout draws keep their order.
+array, and attention's keeps no q, k or v, only its context; their pullbacks
+recompute the rest bit for bit. Dropout and the residual adds stay outside both
+ops, so the dropout draws keep their order.
 """
 
 from __future__ import annotations

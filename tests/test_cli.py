@@ -358,6 +358,20 @@ def test_cost_sweep_csv_creates_the_directory_of_its_output(tmp_path):
     assert len(csv.read_text().splitlines()) == 1 + 23
 
 
+@pytest.mark.parametrize("name, problem", [("taken", "is a directory"),
+                                           ("file/sweep.csv", "not a directory")],
+                         ids=["directory", "under-a-file"])
+def test_cost_sweep_csv_that_cannot_be_written_is_config_error_before_the_sweep(
+        tmp_path, capsys, name, problem):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["cost", "--sweep", "table4", "--csv", str(tmp_path / name)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
+    assert captured.err.startswith("config error: --csv ") and problem in captured.err
+
+
 def test_cost_csv_without_sweep_is_config_error_and_writes_nothing(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     assert run(["cost", "--csv", str(csv)]) == cli.EXIT_CONFIG

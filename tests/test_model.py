@@ -228,18 +228,18 @@ def test_eval_forward_never_holds_whole_shard_projections(rng):
 
 def test_training_forward_retains_no_mlp_activations(rng):
     # What a batch-8 stock training forward leaves recorded, per token of each block: two
-    # layer norms' xhat and row statistic, attention's q, k, v and context, and each
-    # softmax row's max and sum (2 * (dim + 1) + 4 * heads * d_k + 2 * heads floats),
-    # plus two one-byte dropout masks a dim wide; and once per block and shard, the fused
-    # (dim, 3 * heads * d_k) projection weights attention concatenates. Counting the
-    # class-only last block as a full one leaves ~1 MB a window for the tokenizer and head.
-    # That is 99.4 MB at stock shapes; keeping the MLP's norm output, gelu output and gelu
-    # derivative (640 more floats a token and block) retains ~124 MB.
+    # layer norms' xhat and row statistic, attention's context, and each softmax row's max
+    # and sum (2 * (dim + 1) + heads * d_k + 2 * heads floats), plus two one-byte dropout
+    # masks a dim wide; and once per block and shard, the fused (dim, 3 * heads * d_k)
+    # projection weights attention concatenates. Counting the class-only last block as a
+    # full one leaves ~1 MB a window for the tokenizer and head. That is 42.5 MB at stock
+    # shapes; keeping attention's q, k and v as well (1152 more floats a token and block)
+    # retains ~92 MB, and the MLP's norm output, gelu output and gelu derivative 640 more.
     cfg = TSTConfig()
     model = TSTModel(cfg, seed=0)
     x = rng.normal(size=(8, cfg.L)).astype(np.float32)
     width = cfg.heads * cfg.d_k
-    floats = 2 * (cfg.dim + 1) + 4 * width + 2 * cfg.heads
+    floats = 2 * (cfg.dim + 1) + width + 2 * cfg.heads
     per_block = (cfg.ns + 1) * (4 * floats + 2 * cfg.dim)
     bound = cfg.depth * (8 * per_block + 2 * cfg.dim * 3 * width * 4)
     tracemalloc.start()

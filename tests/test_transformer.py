@@ -271,15 +271,33 @@ def test_recorded_attention_never_holds_the_full_probabilities(rng):
     assert [g.shape for g in grads] == [t.shape for t in inputs]
 
 
+def test_attention_pullback_never_rebuilds_whole_batch_projections(rng):
+    b, n, heads, dim, d_k = 64, 33, 4, 16, 24     # projection width 96 = 6 * dim
+    width, token = heads * d_k, b * n * 4        # bytes of one float a token, float32
+    rows = T._ATTN_BLOCK // (heads * n * n + 2 * n * width)
+    assert rows < b // 2                          # so the rows run as 3 or more row blocks
+    inputs = _f32_attention_inputs(rng, b, n, dim, width, requires_grad=True)
+    loss = T.tsum(T.self_attention(*inputs, heads))
+    # the pullback's whole-batch arrays (the output adjoint, g_attn, d_qkv, the norm output
+    # that then takes its adjoint) beside one row block's q, k and v and its two score tiles
+    whole = token * (dim + width + 3 * width + dim)
+    row_block = 4 * rows * n * (3 * width + 2 * heads * n)
+    bound = whole + row_block + 2**17
+    assert bound < whole + 3 * width * token      # whole-batch q, k and v would not fit
+    grads = call_bounded(lambda: backward(loss, inputs), bound)
+    assert [g.shape for g in grads] == [t.shape for t in inputs]
+
+
 def test_recorded_attention_keeps_xhat_not_the_norm_output(rng):
     # What a recorded stock-shaped attention half allocates and keeps: xhat and each row's
-    # 1/sqrt(var + eps), q, k, v and the context (dim + 1 + 4 * width floats a token), each
-    # softmax row's max and sum (2 * heads), and the concatenated projections (3 * dim *
-    # width). Keeping ln1's output as well would add dim floats a token, 0.5 MB here.
+    # 1/sqrt(var + eps) and the context (dim + 1 + width floats a token), each softmax row's
+    # max and sum (2 * heads), and the concatenated projections (3 * dim * width). No q, k
+    # or v: the pullback projects them again. Keeping ln1's output as well would add dim
+    # floats a token, 0.5 MB here.
     cfg = TSTConfig()
     b, n, width = 4, cfg.ns + 1, cfg.heads * cfg.d_k
     inputs = _f32_attention_inputs(rng, b, n, cfg.dim, width, requires_grad=True)
-    kept = 4 * (b * n * (cfg.dim + 1 + 4 * width + 2 * cfg.heads) + 3 * cfg.dim * width)
+    kept = 4 * (b * n * (cfg.dim + 1 + width + 2 * cfg.heads) + 3 * cfg.dim * width)
     tracemalloc.start()
     try:
         out = T.self_attention(*inputs, cfg.heads)
@@ -593,11 +611,14 @@ def test_last_block_attention_keeps_one_query_row(rng):
         assert [_kept(vjp, name).shape for vjp in attention] == [(b, heads, n, 1),
                                                                  (b, heads, 1, 1)]
     for vjp, m in zip(attention, (n, 1)):
-        arrays = {name: cell.cell_contents
-                  for name, cell in zip(vjp.__code__.co_freevars, vjp.__closure__)
-                  if isinstance(cell.cell_contents, np.ndarray)}
-        assert set(arrays) == {"xhat", "inv", "gain", "bias", "w", "w_o", "q", "k", "v",
-                               "context", "row_max", "row_sum"}
+        # what the pullback binds, and through it the projection helper it shares with the
+        # forward: no q, k or v, which the pullback projects again row block by row block
+        cells = [(name, cell.cell_contents) for fn in [vjp] + [
+                     c.cell_contents for c in vjp.__closure__ if callable(c.cell_contents)]
+                 for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)]
+        arrays = {name: a for name, a in cells if isinstance(a, np.ndarray)}
+        assert set(arrays) == {"xhat", "inv", "gain", "bias", "w", "w_o", "context",
+                               "row_max", "row_sum"}
         assert all(a.size != b * heads * m * n for a in arrays.values())
 
 
