@@ -67,7 +67,9 @@ def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            raw_label, *values = line.split(",")
+            # at most one field past the window: an over-long row costs memory in proportion
+            # to ``length``, not to its field count
+            raw_label, *values = line.split(",", length + 1)
             try:
                 label = int(raw_label)
             except ValueError:
@@ -75,11 +77,10 @@ def load_csv(path, length: int, n_class: int) -> list[LabeledWindow]:
             if not 0 <= label < n_class:
                 raise DataError(f"{path}:{lineno}: label {label} out of range")
             if len(values) != length:
-                raise DataError(
-                    f"{path}:{lineno}: row has {len(values)} samples, expected {length}"
-                )
+                counted = f"more than {length}" if len(values) > length else len(values)
+                raise DataError(f"{path}:{lineno}: row has {counted} samples, expected {length}")
             try:
-                samples = np.array([float(v) for v in values], dtype=np.float32)
+                samples = np.array(values, dtype=np.float32)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric sample value") from None
             if not np.isfinite(samples).all():
@@ -186,6 +187,6 @@ def windows_to_arrays(windows) -> tuple[np.ndarray, np.ndarray]:
     lengths = {w.samples.shape[0] for w in windows}
     if len(lengths) != 1:
         raise DataError(f"windows have mixed lengths {sorted(lengths)}")
-    x = np.stack([w.samples for w in windows]).astype(np.float32)
+    x = np.stack([w.samples for w in windows])
     y = np.array([w.label for w in windows], dtype=np.int64)
     return standardize(x), y

@@ -62,9 +62,10 @@ _PHI_CLAMP = np.float32(4.0 * math.sqrt(2.0))
 # MLP-width elements per feed_forward row block (at least one batch row): the gelu kernel's
 # three 256 KiB scratch buffers per block stay in cache, ~3x faster than whole-array passes
 _GELU_CHUNK = 2**16
-# score, key and value elements per attention row block (score elements per head block):
-# at most a 1 MiB float32 tile, half a 2 MiB per-core L2, so the softmax passes run in
-# cache and the pullback's probability and score-adjoint tiles fit L2 together
+# score, key and value elements per attention row block: at most a 1 MiB float32 tile, half
+# a 2 MiB per-core L2, so the softmax passes run in cache and the pullback's probability and
+# score-adjoint tiles fit L2 together. A row is the smallest block, so one row whose scores
+# alone exceed it (the stock shape: 6 * 257 * 257) runs as a block of its own
 _ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -380,12 +381,6 @@ def _even_slices(total: int, most: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _tile(buffer: np.ndarray, r: slice, h: slice, m: int, n: int) -> np.ndarray:
-    """The contiguous (rows, heads, m, n) score tile of block (r, h), from ``buffer``."""
-    shape = (r.stop - r.start, h.stop - h.start, m, n)
-    return buffer[:math.prod(shape)].reshape(shape)
-
-
 def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
                    queries: int | None = None) -> Tensor:
     """A pre-norm block's attention half, attention(layer_norm(x)) @ w_o, as one op.
@@ -395,12 +390,12 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     contexts, side by side, map through ``w_o`` (heads*d_k, dim_out). Keys and values come
     from all n rows, queries from the leading m = ``queries`` (default n): (B, m, dim_out).
 
-    The B rows run in near-equal blocks sized by ``_ATTN_BLOCK`` (a row's heads, too, where
-    its scores alone exceed it) through one reused score tile. Each row block's norm,
-    projections and ``w_o`` GEMM run in the loop; normed rows, q, k and v go into one row
-    block's buffers, xhat and the context into whole-batch arrays when a node is recorded,
-    else into row-block buffers too: an eval forward holds no whole-batch normed rows,
-    projections or context.
+    The B rows run in near-equal blocks sized by ``_ATTN_BLOCK``, at least one row each,
+    through one reused (rows, heads, m, n) score tile that holds all of a block's heads. Each
+    row block's norm, projections and ``w_o`` GEMM run in the loop; normed rows, q, k and v
+    go into one row block's buffers, xhat and the context into whole-batch arrays when a node
+    is recorded, else into row-block buffers too: an eval forward holds no whole-batch normed
+    rows, projections or context.
 
     A recorded node keeps xhat, each row's 1/sqrt(var + eps), the concatenated weights,
     ``w_o``, the context and each softmax row's max and sum, but no q, k or v. Its pullback
@@ -427,9 +422,7 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     # one-query blocks of 2+ rows: BLAS rounds a one-row query GEMM apart from taller ones
     most = max(3 if m == 1 else 1, _ATTN_BLOCK // (heads * m * n + 2 * n * width))
     row_blocks = _even_slices(b, most)
-    head_blocks = _even_slices(heads, max(1, _ATTN_BLOCK // (m * n)))   # for wide rows only
     rows = max(r.stop - r.start for r in row_blocks)
-    tile_size = rows * max(h.stop - h.start for h in head_blocks) * m * n
     dtype = np.result_type(x, gain, bias, w, w_o)
     scale = dtype.type(1.0 / math.sqrt(d_k))
 
@@ -452,22 +445,20 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
     normed = xhat if not records and dtype == x.dtype else np.empty((rows, n, dim), dtype)
     kv, q = np.empty((rows, n, 2, heads, d_k), dtype), np.empty((rows, m, heads, d_k), dtype)
     context = np.empty((held, m, heads, d_k), dtype=dtype)
-    buffer = np.empty(tile_size, dtype=dtype)
+    scores = np.empty((rows, heads, m, n), dtype=dtype)
     row_max, row_sum = np.empty((2, b, heads, m, 1), dtype=dtype)
     out = np.empty((b, m, w_o.shape[1]), dtype=dtype)
     for r in row_blocks:
         at = r if held == b else slice(0, r.stop - r.start)
         inv[at] = _ln_forward(x[r], xhat[at])[1]
         q_r, k_r, v_r = project(at, normed[:r.stop - r.start], kv, q)
-        ctx = context[at].transpose(0, 2, 1, 3)
-        for h in head_blocks:
-            p = np.matmul(q_r[:, h], k_r[:, h].swapaxes(-1, -2), out=_tile(buffer, r, h, m, n))
-            row_max[r, h] = np.max(p, axis=-1, keepdims=True)
-            p -= row_max[r, h]
-            np.exp(p, out=p)
-            row_sum[r, h] = np.sum(p, axis=-1, keepdims=True)
-            p /= row_sum[r, h]
-            np.matmul(p, v_r[:, h], out=ctx[:, h])
+        p = np.matmul(q_r, k_r.swapaxes(-1, -2), out=scores[:r.stop - r.start])
+        row_max[r] = np.max(p, axis=-1, keepdims=True)
+        p -= row_max[r]
+        np.exp(p, out=p)
+        row_sum[r] = np.sum(p, axis=-1, keepdims=True)
+        p /= row_sum[r]
+        np.matmul(p, v_r, out=context[at].transpose(0, 2, 1, 3))
         np.matmul(context[at].reshape(-1, m, width), w_o, out=out[r])
     context = context.reshape(held, m, width)   # every row, when recorded
 
@@ -487,23 +478,20 @@ def self_attention(x, ln_gain, ln_bias, w_q, w_k, w_v, w_o, heads: int,
         dq = dq[:, :, :m]
         normed = np.empty((b, n, dim), dtype=dtype)   # the norm output, for w's adjoint
         kv, q = np.empty((rows, n, 2, heads, d_k), dtype), np.empty((rows, m, heads, d_k), dtype)
-        tiles = np.empty((2, tile_size), dtype=g.dtype)   # probabilities, score adjoints
+        tiles = np.empty((2, rows, heads, m, n), dtype=g.dtype)   # probabilities, score adjoints
         for r in row_blocks:
             # the forward's q, k, v and probabilities again: the same GEMMs, shift and scale
             q_r, k_r, v_r = project(r, normed[r], kv, q)
-            for h in head_blocks:
-                p = np.matmul(q_r[:, h], k_r[:, h].swapaxes(-1, -2),
-                              out=_tile(tiles[0], r, h, m, n))
-                p -= row_max[r, h]
-                np.exp(p, out=p)
-                p /= row_sum[r, h]
-                np.matmul(p.swapaxes(-1, -2), g_ctx[r, h], out=dv[r, h])
-                d_scores = np.matmul(g_ctx[r, h], v_r[:, h].swapaxes(-1, -2),
-                                     out=_tile(tiles[1], r, h, m, n))
-                d_scores -= inner[r, h]   # d probs, then in place d scores
-                d_scores *= p
-                np.matmul(d_scores, k_r[:, h], out=dq[r, h])
-                np.matmul(d_scores.swapaxes(-1, -2), q_r[:, h], out=dk[r, h])
+            p = np.matmul(q_r, k_r.swapaxes(-1, -2), out=tiles[0, :r.stop - r.start])
+            p -= row_max[r]
+            np.exp(p, out=p)
+            p /= row_sum[r]
+            np.matmul(p.swapaxes(-1, -2), g_ctx[r], out=dv[r])
+            d_scores = np.matmul(g_ctx[r], v_r.swapaxes(-1, -2), out=tiles[1, :r.stop - r.start])
+            d_scores -= inner[r]   # d probs, then in place d scores
+            d_scores *= p
+            np.matmul(d_scores, k_r, out=dq[r])
+            np.matmul(d_scores.swapaxes(-1, -2), q_r, out=dk[r])
         dq *= scale
         d_qkv = d_qkv.reshape(b * n, 3 * width)
         normed = normed.reshape(b * n, dim)

@@ -131,6 +131,17 @@ def test_csv_expected_length_enforced(tmp_path):
         data.load_csv(p, length=2048, n_class=10)
 
 
+def test_csv_over_long_row_costs_memory_in_proportion_to_the_window(tmp_path):
+    # 10**6 samples against a window of 3: the loader reads the 4 MB line, but never
+    # holds a million fields
+    p = tmp_path / "long.csv"
+    p.write_text("0," + ",".join(["1.5"] * 10**6) + "\n")
+    size = p.stat().st_size
+    loaded = call_bounded(lambda: data.load_csv(p, length=3, n_class=10), 4 * size + (1 << 20))
+    assert isinstance(loaded, DataError)
+    assert str(loaded).endswith("long.csv:1: row has more than 3 samples, expected 3")
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e39"])
 def test_csv_non_finite_sample_names_the_line(tmp_path, value):
     p = tmp_path / "big.csv"
@@ -183,6 +194,27 @@ def test_csv_from_any_bytes_loads_checked_windows_or_data_error(tmp_path_factory
         assert np.isfinite(w.samples).all()
         assert w.samples.shape == loaded[0].samples.shape
         assert w.samples.shape == (length,)
+
+
+@FUZZ
+@given(tokens=st.lists(_CSV_TOKENS.filter(lambda t: not set(t) & set(",\n\r")), max_size=6))
+def test_csv_samples_parse_exactly_as_float_does(tmp_path_factory, tokens):
+    # the tokens sit between a label and a last sample, where no strip of the line reaches
+    path = tmp_path_factory.mktemp("csv") / "tokens.csv"
+    path.write_text(",".join(["0"] + tokens + ["0"]) + "\n", encoding="utf-8")
+    try:
+        with np.errstate(over="ignore"):
+            want = np.array([np.float32(float(t)) for t in tokens] + [0], dtype=np.float32)
+    except ValueError:
+        with pytest.raises(DataError, match="non-numeric"):
+            data.load_csv(path, length=len(tokens) + 1, n_class=10)
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(DataError, match="non-finite"):
+            data.load_csv(path, length=len(tokens) + 1, n_class=10)
+        return
+    (got,) = data.load_csv(path, length=len(tokens) + 1, n_class=10)
+    assert got.samples.dtype == np.float32 and got.samples.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -108,20 +108,20 @@ def _attention_inputs(rng, heads, b=2, n=5, dim=4, d_k=3, dim_out=2):
 def _blocks_of_two(monkeypatch, heads, n, queries, width, split="rows"):
     """Shrink the attention block to two rows' scores, keys and values, so a batch of five
     rows runs as blocks of 1, 2 and 2 rows (one-query rows, at least two a block: 2 and 3);
-    or, with ``split="heads"``, to two heads' scores, so each row's 3 heads run as blocks of
-    1 and 2."""
+    or, with ``split="wide"``, to two heads' scores, below one row's 3 heads, so each row
+    runs as a block of its own (one-query rows: 2 and 3), with all its heads in one tile."""
     m = queries or n
     per_row = heads * m * n + 2 * n * width if split == "rows" else m * n
     monkeypatch.setattr(T, "_ATTN_BLOCK", 2 * per_row)
 
 
 # queries=None: every row queries; "query1": only slot 0 does, as in the last block;
-# "blocks": five rows in blocks of 1, 2 and 2; "head-blocks": each row's 3 heads as 1 and 2
+# "blocks": five rows in blocks of 1, 2 and 2; "wide": each row's 3 heads exceed the block
 @pytest.mark.parametrize("heads, queries, blocks",
                          [(1, None, False), (2, None, False), (3, None, False), (2, 1, False),
-                          (2, None, "rows"), (2, 1, "rows"), (3, None, "heads")],
+                          (2, None, "rows"), (2, 1, "rows"), (3, None, "wide")],
                          ids=["1", "2", "3", "2-query1", "2-blocks", "2-query1-blocks",
-                              "3-head-blocks"])
+                              "3-wide"])
 def test_self_attention_gradients_match_finite_differences(rng, monkeypatch, heads, queries,
                                                            blocks):
     if blocks:
@@ -132,12 +132,12 @@ def test_self_attention_gradients_match_finite_differences(rng, monkeypatch, hea
 
 
 # float64 for heads 1, 2, 4 and a one-query op, then at 3 heads: "rows", five rows in
-# attention row blocks of 1, 2 and 2 (2 and 3 for one-query rows); "heads", each row's 3
-# heads in blocks of 1 and 2; "query1", only slot 0 queries, as in the last block; "empty",
-# B = 0. The same at 3 heads in float32.
-_ORACLE_CASES = [(3, None, 5, None), (3, None, 5, "rows"), (3, None, 5, "heads"),
+# attention row blocks of 1, 2 and 2 (2 and 3 for one-query rows); "wide", each row's 3
+# heads exceed the block, so each row runs alone; "query1", only slot 0 queries, as in the
+# last block; "empty", B = 0. The same at 3 heads in float32.
+_ORACLE_CASES = [(3, None, 5, None), (3, None, 5, "rows"), (3, None, 5, "wide"),
                  (3, 1, 5, None), (3, 1, 5, "rows"), (3, None, 0, None)]
-_ORACLE_IDS = ["3", "3-rows", "3-heads", "3-query1", "3-query1-rows", "3-empty"]
+_ORACLE_IDS = ["3", "3-rows", "3-wide", "3-query1", "3-query1-rows", "3-empty"]
 
 
 @pytest.mark.parametrize(
@@ -196,9 +196,9 @@ def test_self_attention_rejects_mismatched_shapes(rng):
             T.self_attention(*bad, heads=2)
 
 
-@pytest.mark.parametrize("queries, split", [(None, "rows"), (1, "rows"), (None, "heads"),
-                                            (1, "heads")],
-                         ids=["all-rows", "query1", "all-rows-head-blocks", "query1-head-blocks"])
+@pytest.mark.parametrize("queries, split", [(None, "rows"), (1, "rows"), (None, "wide"),
+                                            (1, "wide")],
+                         ids=["all-rows", "query1", "all-rows-wide", "query1-wide"])
 @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-grad"])
 def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, graph, split):
     heads, n = 3, 7
@@ -214,7 +214,7 @@ def test_self_attention_in_blocks_equals_one_block(rng, monkeypatch, queries, gr
 
     whole = attend()                 # one block holds all 5 rows
     _blocks_of_two(monkeypatch, heads, n, queries, 3 * heads, split)
-    blocked = attend()               # blocks of 1, 2 and 2 rows (2 and 3), or of 1 and 2 heads
+    blocked = attend()               # blocks of 1, 2 and 2 rows, or one row each (one-query: 2, 3)
     assert len(blocked) == 1 + 7 * graph
     for one, many in zip(whole, blocked):
         assert np.array_equal(one, many)
@@ -319,17 +319,17 @@ def test_eval_block_never_holds_a_whole_shard_context_or_normed_input(rng, class
     # block holds at most three activations at once (the residual sum, the MLP output and
     # the block output) and one row block's attention working set: the concatenated
     # projections (3 * dim * width), a row's xhat and normed row, its q, k, v and context,
-    # one _ATTN_BLOCK score tile, and the shard's softmax row max and sum. The MLP's buffers
-    # are smaller. That is 16.5 MB. Holding ln1's whole output, the whole context and the
-    # w_o product together (5 activations) peaks at 22 MB; a class-only block holding its
-    # shard's whole normed rows, k and v at 31 MB.
+    # the row's heads * n * n score tile (1.58 MB, more than one _ATTN_BLOCK), and the shard's
+    # softmax row max and sum. The MLP's buffers are smaller. That is 17.1 MB. Holding ln1's
+    # whole output, the whole context and the w_o product together (5 activations) peaks at
+    # 22 MB; a class-only block holding its shard's whole normed rows, k and v at 31 MB.
     cfg = TSTConfig()
     b, n, width = 32, cfg.ns + 1, cfg.heads * cfg.d_k
     block = tf.BlockParams.init(cfg.dim, cfg.dim_mlp, cfg.heads, cfg.d_k,
                                 np.random.default_rng(0))
     x = Tensor(rng.normal(size=(b, n, cfg.dim)).astype(np.float32))
     activation = b * n * cfg.dim * 4
-    row_block = 4 * (3 * cfg.dim * width + 2 * n * cfg.dim + 4 * n * width + T._ATTN_BLOCK
+    row_block = 4 * (3 * cfg.dim * width + 2 * n * cfg.dim + 4 * n * width + cfg.heads * n * n
                      + 2 * b * cfg.heads * n)
     with T.no_grad():
         out = call_bounded(lambda: tf.block_forward(x, block, class_only=class_only),
@@ -337,7 +337,7 @@ def test_eval_block_never_holds_a_whole_shard_context_or_normed_input(rng, class
     assert out.shape == (b, 1 if class_only else n, cfg.dim)
 
 
-@pytest.mark.parametrize("split", [None, "rows", "heads"], ids=["whole", "rows", "heads"])
+@pytest.mark.parametrize("split", [None, "rows", "wide"], ids=["whole", "rows", "wide"])
 def test_attention_weights_sum_to_one_per_query(rng, monkeypatch, split):
     # every key differs, but every value row is the same vector u: the normed rows' first
     # three columns vary (gain 50) and feed only the keys and queries, their last three are
