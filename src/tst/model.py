@@ -13,6 +13,7 @@ them through log-sum-exp.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import glob
@@ -22,7 +23,6 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -214,18 +214,13 @@ def _worker_core_free() -> bool:
 
 def _run_pair(first, second) -> tuple:
     """``(first(), second())``. When ``_worker_core_free()``, ``second`` runs on the kept
-    ``_worker()`` thread, with the caller's grad mode; otherwise both run in turn on the
-    calling thread, as on the worker itself, which is not the main thread. Either way an
-    exception of either call reaches the caller once ``second`` has finished."""
+    ``_worker()`` thread in a copy of the caller's context, so with its grad mode and numpy
+    error state; otherwise both run in turn on the calling thread, as on the worker itself,
+    which is not the main thread. Either way an exception of either call reaches the caller
+    once ``second`` has finished."""
     if not _worker_core_free():
         return first(), second()
-    grad = T._grad_enabled()
-
-    def on_worker():   # the grad flag is per thread, and the worker keeps the last call's
-        with nullcontext() if grad else T.no_grad():
-            return second()
-
-    later = _worker().submit(on_worker)
+    later = _worker().submit(contextvars.copy_context().run, second)
     try:
         return first(), later.result()
     finally:

@@ -34,8 +34,8 @@ optimizer may rewrite a leaf's ``data`` between forward passes.
 
 from __future__ import annotations
 
+import contextvars
 import math
-import threading
 
 import numpy as np
 
@@ -69,28 +69,27 @@ _GELU_CHUNK = 2**16
 _ATTN_BLOCK = 2**18
 _erf = np.frompyfunc(math.erf, 1, 1)
 
-_GRAD_STATE = threading.local()
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def _grad_enabled() -> bool:
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _GRAD_ENABLED.get()
 
 
 class no_grad:
     """Inside this context ops compute values but record no graph edges.
 
     Inference over a large model would otherwise retain every
-    intermediate for a backward pass that never comes. Per-thread, so
-    concurrent trials stay independent.
+    intermediate for a backward pass that never comes. Per context, and
+    each thread starts with grad on, so concurrent trials stay independent.
     """
 
     def __enter__(self):
-        self._saved = _grad_enabled()
-        _GRAD_STATE.enabled = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        _GRAD_STATE.enabled = self._saved
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
@@ -710,10 +709,8 @@ def transpose(x, axes) -> Tensor:
     return _result(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
-def tslice(x, key) -> Tensor:
-    """Basic (view-style) slicing; the adjoint scatters back into zeros."""
-    x = as_tensor(x)
-    data = x.data[key]
+def _indexed(x: Tensor, key) -> Tensor:
+    """``x.data[key]``; the adjoint scatters back into zeros of x's shape."""
     x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
@@ -721,7 +718,12 @@ def tslice(x, key) -> Tensor:
         gx[key] = g
         return (gx,)
 
-    return _result(data, (x,), vjp)
+    return _result(x.data[key], (x,), vjp)
+
+
+def tslice(x, key) -> Tensor:
+    """Basic (view-style) slicing."""
+    return _indexed(as_tensor(x), key)
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -770,16 +772,7 @@ def gather_rows(x, index) -> Tensor:
     idx = np.asarray(index)
     if x.ndim != 2 or idx.ndim != 1 or idx.shape[0] != x.shape[0]:
         raise ShapeError(f"gather_rows needs (N, C) and (N,), got {x.shape} and {idx.shape}")
-    rows = np.arange(x.shape[0])
-    data = x.data[rows, idx]
-    x_shape, x_dtype = x.shape, x.dtype
-
-    def vjp(g):
-        gx = np.zeros(x_shape, dtype=x_dtype)
-        gx[rows, idx] = g
-        return (gx,)
-
-    return _result(data, (x,), vjp)
+    return _indexed(x, (np.arange(x.shape[0]), idx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextvars
 import csv
 import glob
 import hashlib
@@ -608,6 +609,30 @@ def test_run_pair_runs_every_second_call_on_one_kept_worker_thread(monkeypatch):
     pairs = [tstmodel._run_pair(threading.get_ident, threading.get_ident) for _ in range(2)]
     assert pairs[0][0] == pairs[1][0] == caller
     assert pairs[0][1] == pairs[1][1] != caller
+
+
+@needs_worker
+def test_run_pair_runs_the_second_call_in_a_copy_of_the_callers_context(monkeypatch):
+    monkeypatch.setattr(tstmodel, "_CORES", 2)
+    var = contextvars.ContextVar("var", default="unset")
+
+    def second():
+        seen = var.get()
+        var.set("set by second")
+        return threading.get_ident(), seen
+
+    var.set("caller's")
+    for _ in range(2):   # the second pair sees nothing of the first's second call
+        caller, (worker, seen) = tstmodel._run_pair(threading.get_ident, second)
+        assert worker != caller and seen == "caller's" and var.get() == "caller's"
+
+    def overflow():
+        return np.full(2, 3e38, dtype=np.float32) * 10
+
+    with np.errstate(over="raise"):
+        for pair in ((overflow, lambda: None), (lambda: None, overflow)):
+            with pytest.raises(FloatingPointError):
+                tstmodel._run_pair(*pair)
 
 
 @needs_worker
